@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build, and run the full test suite, then
-# the static-analysis gate (clang -Wthread-safety build + clang-tidy; skips
+# Tier-1 verification: configure, build, and run the full test suite, build
+# the tree again as Release (-O3, into <build-dir>-release), then run the
+# static-analysis gate (clang -Wthread-safety build + clang-tidy; skips
 # itself when clang is absent) and the sanitizer passes (ASan/UBSan over the
 # fault-tolerance surface, TSan over the concurrent read path).
 # VIST_SKIP_STATIC=1 skips the static gate; VIST_SKIP_SANITIZERS=1 skips the
@@ -14,6 +15,12 @@ BUILD_DIR="${1:-build}"
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+# Release (-O3) build of the whole tree, so warnings that only the
+# optimizer raises (GCC's -Wrestrict, -Wmaybe-uninitialized) cannot break
+# the -Werror library build unnoticed.
+cmake -B "$BUILD_DIR-release" -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build "$BUILD_DIR-release" -j "$(nproc)"
 
 # End-to-end serving smoke: boots a real vist_server on an ephemeral port
 # and runs a scripted QUERY/INSERT/STATS exchange over TCP (also part of
@@ -29,8 +36,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L faults
 # Differential-oracle suite: the router vs. every bare engine over
 # thousands of seeded queries (tests/exec/router_oracle_test.cc). ctest
 # treats a label matching zero tests as success, so guard against the
-# label silently vanishing before rerunning it by name.
-if ! ctest --test-dir "$BUILD_DIR" -N -L differential | grep -q "Test #"; then
+# label silently vanishing before rerunning it by name. (The listing goes
+# into a variable first: `ctest | grep -q` under pipefail fails whenever
+# grep exits early and ctest dies of SIGPIPE.)
+differential_tests="$(ctest --test-dir "$BUILD_DIR" -N -L differential)"
+if ! grep -q "Test #" <<<"$differential_tests"; then
   echo "check_build.sh: no tests carry the 'differential' label" >&2
   exit 1
 fi

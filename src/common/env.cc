@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 
 namespace vist {
 namespace {
@@ -131,6 +132,11 @@ class PosixEnv : public Env {
 };
 
 }  // namespace
+
+std::string DirectoryOf(const std::string& path) {
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  return dir.empty() ? std::string(".") : dir;
+}
 
 Env* Env::Default() {
   static PosixEnv* env = new PosixEnv();

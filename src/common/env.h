@@ -77,6 +77,10 @@ class Env {
   virtual Status SyncDir(const std::string& dir) = 0;
 };
 
+/// The directory holding `path` ("." for a bare file name) — the argument
+/// SyncDir needs after creating or removing `path`.
+std::string DirectoryOf(const std::string& path);
+
 }  // namespace vist
 
 #endif  // VIST_COMMON_ENV_H_

@@ -8,9 +8,15 @@
 namespace vist {
 namespace {
 
-std::string LevelName(int child_index) {
-  return "e" + std::to_string(child_index);
+// Builds "<letter><number>" by appending: GCC 12's -O3 -Wrestrict misfires
+// on `"literal" + std::to_string(...)` (a prepend into the temporary).
+std::string Numbered(char letter, uint64_t number) {
+  std::string out(1, letter);
+  out += std::to_string(number);
+  return out;
 }
+
+std::string LevelName(int child_index) { return Numbered('e', child_index); }
 
 }  // namespace
 
@@ -56,7 +62,7 @@ xml::Document SyntheticGenerator::NextDocument() {
   if (options_.value_probability > 0) {
     std::function<void(xml::Node*)> attach = [&](xml::Node* node) {
       if (rng_.Bernoulli(options_.value_probability)) {
-        node->AddText("v" + std::to_string(rng_.Uniform(options_.num_values)));
+        node->AddText(Numbered('v', rng_.Uniform(options_.num_values)));
       }
       for (const auto& child : node->children()) {
         if (child->is_element()) attach(child.get());
@@ -96,7 +102,7 @@ query::QueryTree SyntheticGenerator::NextQueryTree(int length,
     query::QueryNode* leaf = leaves[rng_.Uniform(leaves.size())];
     auto value = std::make_unique<query::QueryNode>();
     value->kind = query::QueryNode::Kind::kValue;
-    value->value = "v" + std::to_string(rng_.Uniform(options_.num_values));
+    value->value = Numbered('v', rng_.Uniform(options_.num_values));
     leaf->AddChild(std::move(value));
   }
   return tree;
@@ -122,7 +128,9 @@ std::string RenderPredicate(const query::QueryNode& node) {
       std::string out =
           node.kind == QueryNode::Kind::kStar ? "*" : node.name;
       for (const auto& child : node.children) {
-        out += "[" + RenderPredicate(*child) + "]";
+        out += '[';
+        out += RenderPredicate(*child);
+        out += ']';
       }
       return out;
     }
@@ -134,16 +142,14 @@ std::string RenderPredicate(const query::QueryNode& node) {
 
 std::string SyntheticGenerator::QueryTreeToPath(const query::QueryTree& tree) {
   const query::QueryNode& root = *tree.root;
-  std::string prefix = "/";
-  const query::QueryNode* step = &root;
-  if (root.kind == query::QueryNode::Kind::kDescendant) {
-    prefix = "//";
-    step = root.children[0].get();
-  }
-  std::string out = prefix;
+  const bool descendant = root.kind == query::QueryNode::Kind::kDescendant;
+  const query::QueryNode* step = descendant ? root.children[0].get() : &root;
+  std::string out = descendant ? "//" : "/";
   out += step->kind == query::QueryNode::Kind::kStar ? "*" : step->name;
   for (const auto& child : step->children) {
-    out += "[" + RenderPredicate(*child) + "]";
+    out += '[';
+    out += RenderPredicate(*child);
+    out += ']';
   }
   return out;
 }

@@ -39,7 +39,7 @@ struct QueryProfile {
   uint64_t alternatives = 0;
 
   /// Storage work (deltas over the global storage counters).
-  uint64_t index_nodes_accessed = 0;  // B+ tree pages touched (paper's measure)
+  uint64_t index_nodes_accessed = 0;  // B+ tree pages loaded (paper's measure)
   uint64_t buffer_pool_hits = 0;
   uint64_t buffer_pool_misses = 0;
 

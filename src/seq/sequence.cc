@@ -95,7 +95,9 @@ std::string SequenceToString(const Sequence& seq, const SymbolTable& symtab) {
     if (s == kStarSymbol) return "*";
     if (s == kDescendantSymbol) return "//";
     if (IsValueSymbol(s)) {
-      return "v" + std::to_string(s & ~kValueSymbolBit).substr(0, 4);
+      std::string out = "v";
+      out += std::to_string(s & ~kValueSymbolBit).substr(0, 4);
+      return out;
     }
     auto name = symtab.Name(s);
     return name.ok() ? *name : "?";

@@ -1,7 +1,6 @@
 #include "seq/symbol_table.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -70,9 +69,7 @@ Status SymbolTable::Save(const std::string& path) const {
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::IOError("cannot rename " + tmp + " into place");
   }
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
-  return env->SyncDir(dir);
+  return env->SyncDir(DirectoryOf(path));
 }
 
 Result<SymbolTable> SymbolTable::Load(const std::string& path) {

@@ -10,8 +10,9 @@ namespace vist {
 namespace {
 
 // Metric reference: docs/OBSERVABILITY.md (B+ tree section).
-// `node_accesses` counts every page the tree touches (repeat visits
-// included) — the paper's "number of index nodes accessed" cost measure;
+// `node_accesses` counts every page the tree loads from the pool (repeat
+// loads included; pages an iterator keeps pinned and reuses are not loaded
+// again) — the paper's "number of index nodes accessed" cost measure;
 // obs::ProfileScope turns its per-query delta into
 // QueryProfile::index_nodes_accessed.
 struct BTreeMetrics {
@@ -53,6 +54,15 @@ PageId RouteToChild(const NodePage& np, const Slice& key, int* child_index) {
   }
   *child_index = i - 1;
   return np.Child(i - 1);
+}
+
+// True when RouteToChild(np, key) would pick the child at `child_index`,
+// i.e. `key` lies in that child's range [Key(child_index),
+// Key(child_index + 1)), unbounded on a side with no separator.
+bool RoutesThrough(const NodePage& np, int child_index, const Slice& key) {
+  if (child_index >= 0 && key.Compare(np.Key(child_index)) < 0) return false;
+  return child_index + 1 >= np.num_cells() ||
+         key.Compare(np.Key(child_index + 1)) < 0;
 }
 
 }  // namespace
@@ -533,19 +543,36 @@ void BTree::Iterator::PrevLeaf() {
 
 void BTree::Iterator::Seek(const Slice& target) {
   BTreeMetrics::Get().seeks.Increment();
+  VIST_DCHECK(status_.ok() || spine_.empty());  // Fail() drops the spine
   status_ = Status::OK();
   valid_ = false;
-  spine_.clear();
-  PageId current = root_;
+  const uint32_t page_size = tree_->pager_->usable_page_size();
+  if (spine_.empty()) {
+    PageRef root;
+    if (!LoadPage(root_, &root)) return;
+    spine_.push_back({std::move(root), 0});
+  } else {
+    // Finger search: keep every pinned level down to the deepest one whose
+    // key range still holds `target` (a full descent would route through
+    // the same pages), and route afresh only below it. The root is always
+    // kept; a target inside the pinned leaf's range loads no page at all.
+    size_t keep = 1;
+    while (keep < spine_.size()) {
+      Level& parent = spine_[keep - 1];
+      if (!RoutesThrough(NodePage(parent.ref.data(), page_size), parent.index,
+                         target)) {
+        break;
+      }
+      ++keep;
+    }
+    spine_.erase(spine_.begin() + keep, spine_.end());
+  }
   while (true) {
-    PageRef ref;
-    if (!LoadPage(current, &ref)) return;
-    NodePage np(ref.data(), tree_->pager_->usable_page_size());
+    Level& level = spine_.back();
+    NodePage np(level.ref.data(), page_size);
     if (np.is_leaf()) {
-      const int index = np.LowerBound(target);
-      const int n = np.num_cells();
-      spine_.push_back({std::move(ref), index});
-      if (index < n) {
+      level.index = np.LowerBound(target);
+      if (level.index < np.num_cells()) {
         valid_ = true;
         return;
       }
@@ -553,11 +580,11 @@ void BTree::Iterator::Seek(const Slice& target) {
       NextLeaf();
       return;
     }
-    int child_index = 0;
-    PageId child = RouteToChild(np, target, &child_index);
+    const PageId child = RouteToChild(np, target, &level.index);
     VIST_CHECK(child != kInvalidPageId) << "internal node with no child";
-    spine_.push_back({std::move(ref), child_index});
-    current = child;
+    PageRef ref;
+    if (!LoadPage(child, &ref)) return;
+    spine_.push_back({std::move(ref), 0});
   }
 }
 

@@ -84,11 +84,22 @@ class BTree {
   /// shadowed too, cascading across the whole leaf level).
   /// Usage: it->Seek(k); while (it->Valid()) { ... it->Next(); }
   /// After the loop, check status() to distinguish end-of-data from error.
+  ///
+  /// Seek is a finger search from the pinned spine: it keeps the deepest
+  /// pinned level whose key range (the separators around its pinned child
+  /// in each parent) still holds the target and loads only the pages below
+  /// it. The root is never loaded again and a re-seek inside the current
+  /// leaf loads nothing, so a long-lived cursor moving through nearby keys
+  /// costs far fewer node accesses than a fresh iterator per seek. With an
+  /// empty spine (new cursor, end of data, or after an error) Seek descends
+  /// from the root. Every Seek counts one storage.btree.seeks; every page
+  /// loaded counts one storage.btree.node_accesses.
   class Iterator {
    public:
     ~Iterator() = default;
 
-    /// Positions at the first entry with key >= `target`.
+    /// Positions at the first entry with key >= `target` (finger search,
+    /// see above).
     void Seek(const Slice& target);
     void SeekToFirst();
     void SeekToLast();

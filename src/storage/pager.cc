@@ -1,7 +1,6 @@
 #include "storage/pager.h"
 
 #include <cstring>
-#include <filesystem>
 #include <vector>
 
 #include "common/coding.h"
@@ -157,8 +156,7 @@ Pager::Pager(Env* env, std::unique_ptr<File> file, std::string path,
       path_(std::move(path)),
       page_size_(options.page_size),
       durability_(options.durability) {
-  dir_ = std::filesystem::path(path_).parent_path().string();
-  if (dir_.empty()) dir_ = ".";
+  dir_ = DirectoryOf(path_);
 }
 
 Pager::~Pager() {
@@ -311,9 +309,7 @@ Status Pager::RecoverFromJournal(Env* env, File* file,
   VIST_RETURN_IF_ERROR(file->Sync());
   VIST_RETURN_IF_ERROR(env->DeleteFile(journal_path));
   if (durability == DurabilityLevel::kPowerLoss) {
-    std::string dir = std::filesystem::path(path).parent_path().string();
-    if (dir.empty()) dir = ".";
-    VIST_RETURN_IF_ERROR(env->SyncDir(dir));
+    VIST_RETURN_IF_ERROR(env->SyncDir(DirectoryOf(path)));
   }
   return Status::OK();
 }

@@ -1,6 +1,7 @@
 #include "vist/matcher.h"
 
-#include <set>
+#include <algorithm>
+#include <memory>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -35,15 +36,27 @@ struct BoundMatch {
   NodeRecord record;
 };
 
+// One alternative's search. It owns one entry-tree cursor per query element
+// and one DocId cursor, reused by every range scan of that element: each
+// re-seek is a finger search from the cursor's pinned spine (see
+// BTree::Iterator::Seek), so nearby D-key groups and S-Ancestor ranges cost
+// few page loads. Recursion into element qi+1 uses only deeper cursors, so
+// element qi's cursor keeps its position while the subtree is searched.
 class Searcher {
  public:
   Searcher(const MatchContext& context, const QuerySequence& query,
-           obs::QueryProfile* profile, std::set<uint64_t>* results)
+           obs::QueryProfile* profile, std::vector<uint64_t>* results)
       : context_(context),
         query_(query),
         profile_(profile),
         results_(results),
-        bound_(query.size()) {}
+        bound_(query.size()),
+        docid_cursor_(NewCursor(context.docid_tree)) {
+    entry_cursors_.reserve(query.size());
+    for (size_t i = 0; i < query.size(); ++i) {
+      entry_cursors_.push_back(NewCursor(context.entry_tree));
+    }
+  }
 
   Status Run() {
     // The virtual root's scope encloses every node.
@@ -52,6 +65,12 @@ class Searcher {
   }
 
  private:
+  std::unique_ptr<BTree::Iterator> NewCursor(const BTreeView& tree) const {
+    std::unique_ptr<BTree::Iterator> it = tree.NewIterator();
+    it->set_deadline_checker(context_.deadline);
+    return it;
+  }
+
   void Count(uint64_t obs::QueryProfile::* field, obs::Counter& total,
              uint64_t delta = 1) {
     total.Increment(delta);
@@ -130,61 +149,60 @@ class Searcher {
     const uint64_t parent_lo = enclosing.n;
     const uint64_t parent_hi = enclosing.n + enclosing.size;
 
-    auto it = context_.entry_tree.NewIterator();
-    it->set_deadline_checker(context_.deadline);
-    it->Seek(partial);
-    while (status_.ok() && it->Valid() &&
-           (partial_end.empty() || it->key().Compare(partial_end) < 0)) {
+    BTree::Iterator& it = *entry_cursors_[qi];
+    it.Seek(partial);
+    while (status_.ok() && it.Valid() &&
+           (partial_end.empty() || it.key().Compare(partial_end) < 0)) {
       Slice dkey_slice;
       uint64_t parent_n = 0, n = 0;
-      if (!DecodeEntryKey(it->key(), &dkey_slice, &parent_n, &n)) {
+      if (!DecodeEntryKey(it.key(), &dkey_slice, &parent_n, &n)) {
         status_ = Status::Corruption("malformed entry key in index");
         return;
       }
+      // Once per D-key group: copy the D-key (the cursor moves on) and bind
+      // its symbol and prefix; only the record changes per entry below.
       const std::string dkey = dkey_slice.ToString();
+      BoundMatch& slot = bound_[qi];
+      slot.symbol = elem.symbol;
+      if (!DecodeDKey(dkey, &slot.symbol, &slot.prefix)) {
+        status_ = Status::Corruption("malformed D-key in index");
+        return;
+      }
 
       // S-Ancestorship range query within this D-key group.
-      it->Seek(EncodeEntryKey(dkey, parent_lo, 0));
-      while (it->Valid() && it->key().StartsWith(dkey)) {
+      it.Seek(EncodeEntryKey(dkey, parent_lo, 0));
+      while (it.Valid() && it.key().StartsWith(dkey)) {
         if (DeadlineExpired()) return;
         Count(&obs::QueryProfile::entries_scanned,
               MatcherMetrics::Get().entries_scanned);
         Slice seen_dkey;
-        if (!DecodeEntryKey(it->key(), &seen_dkey, &parent_n, &n) ||
-            seen_dkey.ToString() != dkey) {
+        if (!DecodeEntryKey(it.key(), &seen_dkey, &parent_n, &n) ||
+            seen_dkey != Slice(dkey)) {
           break;  // a longer D-key sharing the byte prefix: out of group
         }
         if (parent_n >= parent_hi) break;
-        NodeRecord record;
-        if (!DecodeNodeRecord(it->value(), &record)) {
+        if (!DecodeNodeRecord(it.value(), &slot.record)) {
           status_ = Status::Corruption("malformed node record in index");
           return;
         }
-        record.n = n;
-        record.parent_n = parent_n;
+        slot.record.n = n;
+        slot.record.parent_n = parent_n;
         Count(&obs::QueryProfile::nodes_matched,
               MatcherMetrics::Get().nodes_matched);
-        BoundMatch& slot = bound_[qi];
-        slot.symbol = elem.symbol;
-        if (!DecodeDKey(dkey, &slot.symbol, &slot.prefix)) {
-          status_ = Status::Corruption("malformed D-key in index");
-          return;
-        }
-        slot.record = record;
-        Search(qi + 1, record.scope());
+        Search(qi + 1, slot.record.scope());
         if (!status_.ok()) return;
-        it->Next();
+        it.Next();
       }
-      if (!it->status().ok()) {
-        status_ = it->status();
+      if (!it.status().ok()) {
+        status_ = it.status();
         return;
       }
       // Jump to the next D-key group in the wildcard range.
       const std::string next_group = PrefixRangeEnd(dkey);
       if (next_group.empty()) break;
-      it->Seek(next_group);
+      it.Seek(next_group);
     }
-    if (!it->status().ok()) status_ = it->status();
+    if (!it.status().ok()) status_ = it.status();
   }
 
   // Final step of Algorithm 2: all documents attached at or under the last
@@ -192,28 +210,29 @@ class Searcher {
   void CollectDocIds(const NodeRecord& node) {
     Count(&obs::QueryProfile::docid_range_scans,
           MatcherMetrics::Get().docid_range_scans);
-    auto it = context_.docid_tree.NewIterator();
-    it->set_deadline_checker(context_.deadline);
+    BTree::Iterator& it = *docid_cursor_;
     const std::string lo = EncodeDocIdKey(node.n, 0);
     const uint64_t hi = node.n + node.size;
-    for (it->Seek(lo); it->Valid(); it->Next()) {
+    for (it.Seek(lo); it.Valid(); it.Next()) {
       if (DeadlineExpired()) return;
       uint64_t n = 0, doc_id = 0;
-      if (!DecodeDocIdKey(it->key(), &n, &doc_id)) {
+      if (!DecodeDocIdKey(it.key(), &n, &doc_id)) {
         status_ = Status::Corruption("malformed DocId key in index");
         return;
       }
       if (n >= hi) break;
-      results_->insert(doc_id);
+      results_->push_back(doc_id);
     }
-    if (!it->status().ok()) status_ = it->status();
+    if (!it.status().ok()) status_ = it.status();
   }
 
   const MatchContext& context_;
   const QuerySequence& query_;
   obs::QueryProfile* profile_;
-  std::set<uint64_t>* results_;
+  std::vector<uint64_t>* results_;  // unsorted, with repeats
   std::vector<BoundMatch> bound_;
+  std::vector<std::unique_ptr<BTree::Iterator>> entry_cursors_;
+  std::unique_ptr<BTree::Iterator> docid_cursor_;
   Status status_;
 };
 
@@ -227,19 +246,21 @@ Result<std::vector<uint64_t>> MatchCompiledQuery(
   if (profile != nullptr) {
     profile->alternatives += compiled.alternatives.size();
   }
-  std::set<uint64_t> results;
+  std::vector<uint64_t> results;
   for (const QuerySequence& alt : compiled.alternatives) {
     if (alt.empty()) continue;
     Searcher searcher(context, alt, profile, &results);
     VIST_RETURN_IF_ERROR(searcher.Run());
   }
+  std::sort(results.begin(), results.end());
+  results.erase(std::unique(results.begin(), results.end()), results.end());
   if (profile != nullptr) {
     // A later verification stage (VistIndex::Query with verify) narrows
     // verified_results; until then the two are equal by convention.
     profile->candidates += results.size();
     profile->verified_results = profile->candidates;
   }
-  return std::vector<uint64_t>(results.begin(), results.end());
+  return results;
 }
 
 }  // namespace vist

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -332,6 +333,108 @@ TEST_F(StorageConcurrencyTest, SnapshotReadersNeverBlockOnTheWriter) {
   const BTreeView final_view = (*tree)->ViewAt(*versions.Pin());
   auto last = final_view.Get(key("new/", 399));
   EXPECT_TRUE(last.ok());
+}
+
+TEST_F(StorageConcurrencyTest, SnapshotCursorReseeksWhileWriterPublishes) {
+  // Finger-search Seek reuses a snapshot cursor's pinned spine across
+  // seeks. Those pages belong to the pinned version, so they must stay
+  // frozen while the writer shadows, retires, flushes and reclaims around
+  // them: long-lived reader cursors re-seek at random (and step with
+  // Next/Prev) and must always land where the frozen map says.
+  PagerOptions options;
+  options.page_size = 512;  // a deep tree: most re-seeks keep some levels
+  auto opened = Pager::Open((dir_ / "finger.db").string(), options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Pager> pager = std::move(opened).value();
+  BufferPool pool(pager.get(), 512);
+  VersionManager versions(pager.get(), &pool);
+  versions.Bootstrap();
+  versions.BeginWrite();
+  auto tree = BTree::Create(pager.get(), &pool, &versions, /*meta_slot=*/0);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  auto key = [](uint64_t i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "k%05d", static_cast<int>(i));
+    return std::string(buf);
+  };
+  constexpr uint64_t kKeySpace = 6000;
+  std::map<std::string, std::string> frozen;
+  for (uint64_t i = 0; i < kKeySpace; i += 3) {  // gaps for the writer
+    ASSERT_TRUE((*tree)->Put(key(i), "base" + std::to_string(i)).ok());
+    frozen[key(i)] = "base" + std::to_string(i);
+  }
+  ASSERT_TRUE(versions.Commit(/*epoch=*/1).ok());
+  std::shared_ptr<const Version> pinned = versions.Pin();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::atomic<uint64_t> reseeks{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      const BTreeView view = (*tree)->ViewAt(*pinned);
+      auto it = view.NewIterator();
+      Lcg rng{static_cast<uint64_t>(t) + 41};
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::string target = key(rng.Next() % (kKeySpace + 50));
+        it->Seek(target);
+        auto expected = frozen.lower_bound(target);
+        const int walk = static_cast<int>(rng.Next() % 8);
+        for (int i = 0; i <= walk; ++i) {
+          const bool at_end = expected == frozen.end();
+          if (!it->status().ok() || it->Valid() == at_end ||
+              (!at_end && (it->key().ToString() != expected->first ||
+                           it->value().ToString() != expected->second))) {
+            bad.fetch_add(1, std::memory_order_relaxed);
+            return;
+          }
+          if (at_end || i == walk) break;
+          // Odd walks step backward, so Prev crosses leaves as well.
+          if (walk % 2 == 0) {
+            it->Next();
+            ++expected;
+          } else if (expected == frozen.begin()) {
+            break;
+          } else {
+            it->Prev();
+            --expected;
+          }
+        }
+        if (reseeks.fetch_add(1, std::memory_order_relaxed) % 64 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+      }
+    });
+  }
+
+  // Writer: inserts into the gaps, overwrites and deletes base keys,
+  // publishes a version per round and flushes every fourth round.
+  // No ASSERT before the join: an early return would leave the readers
+  // running. The writer starts once the readers are seeking, so the two
+  // overlap however the threads are scheduled.
+  while (reseeks.load() < 200 && bad.load() == 0) std::this_thread::yield();
+  Lcg rng{977};
+  bool writer_ok = true;
+  for (uint64_t round = 0; round < 120 && writer_ok && bad.load() == 0;
+       ++round) {
+    versions.BeginWrite();
+    for (int i = 0; i < 30; ++i) {
+      const uint64_t k = rng.Next() % kKeySpace;
+      Status s = rng.Next() % 3 == 0
+                     ? (*tree)->Delete(key(k))
+                     : (*tree)->Put(key(k), "new" + std::to_string(round));
+      writer_ok = writer_ok && (s.ok() || s.IsNotFound());
+    }
+    writer_ok = versions.Commit(round + 2).ok() && writer_ok;
+    if (round % 4 == 3) writer_ok = pool.FlushAll().ok() && writer_ok;
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& thread : readers) thread.join();
+  EXPECT_TRUE(writer_ok);
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(reseeks.load(), 200u);
+  pinned.reset();
+  ASSERT_TRUE(pool.FlushAll().ok());
 }
 
 }  // namespace

@@ -262,5 +262,113 @@ TEST_F(StressTest, FsckCleanAfterReclamationChurn) {
   EXPECT_EQ(report->leaked_pages, 0u);
 }
 
+TEST_F(StressTest, PinnedMatcherCursorsSeeFrozenContentsUnderChurn) {
+  // The matcher's cursors re-seek by finger search from their pinned
+  // spines (BTree::Iterator::Seek), hopping between D-key groups and
+  // S-Ancestor ranges of one pinned version. While a writer inserts,
+  // deletes and flushes, queries on a snapshot pinned beforehand must keep
+  // returning exactly the documents that snapshot froze (known here from
+  // the corpus, not from the engine), and the churn must leave the image
+  // fsck-clean after close.
+  VistOptions options;
+  options.page_size = 1024;  // deeper trees: re-seeks keep partial spines
+  auto created = VistIndex::Create(dir_, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<VistIndex> index = std::move(created).value();
+
+  constexpr uint64_t kGroups = 40;
+  constexpr uint64_t kBaseDocs = 400;
+  // Built by appending (a "literal" + std::string chain trips GCC's -O3
+  // -Wrestrict false positive).
+  auto group_tag = [](uint64_t id) {
+    std::string tag = "g";
+    tag += std::to_string(id % kGroups);
+    return tag;
+  };
+  auto doc_text = [&group_tag](uint64_t id) {
+    const std::string tag = group_tag(id);
+    std::string text = "<doc><";
+    text.append(tag).append("><leaf>t").append(std::to_string(id));
+    text.append("</leaf></").append(tag).append("></doc>");
+    return text;
+  };
+  for (uint64_t id = 1; id <= kBaseDocs; ++id) {
+    xml::Document doc = MustParse(doc_text(id));
+    ASSERT_TRUE(index->InsertDocument(*doc.root(), id).ok());
+  }
+  ASSERT_TRUE(index->Flush().ok());
+  auto pinned = index->GetSnapshot();
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  const std::shared_ptr<const Snapshot> frozen = *pinned;
+  std::vector<std::vector<uint64_t>> group_ids(kGroups);
+  std::vector<uint64_t> all_ids;
+  for (uint64_t id = 1; id <= kBaseDocs; ++id) {
+    group_ids[id % kGroups].push_back(id);
+    all_ids.push_back(id);
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::atomic<uint64_t> queries{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      QueryOptions query_options;
+      query_options.snapshot = frozen.get();
+      uint64_t probe = static_cast<uint64_t>(t) * 17 + 3;
+      while (!stop.load(std::memory_order_acquire)) {
+        const uint64_t group = probe % kGroups;
+        auto one = index->Query("/doc/" + group_tag(group) + "/leaf",
+                                query_options);
+        auto wide = index->Query(probe % 4 == 0 ? "//leaf" : "/doc/*/leaf",
+                                 query_options);
+        if (!one.ok() || *one != group_ids[group] || !wide.ok() ||
+            *wide != all_ids) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+        probe += 7;
+        queries.fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+  }
+
+  // Writer churn starts once the readers are querying: new documents in
+  // every group, deletions of base documents, a flush per round. No ASSERT
+  // before the join (an early return would leave the readers running).
+  while (queries.load() < 10 && bad.load() == 0) std::this_thread::yield();
+  bool writer_ok = true;
+  uint64_t next_id = 1000;
+  for (uint64_t round = 0; round < 6 && writer_ok && bad.load() == 0;
+       ++round) {
+    for (int i = 0; i < 40; ++i, ++next_id) {
+      xml::Document doc = MustParse(doc_text(next_id));
+      writer_ok = writer_ok && index->InsertDocument(*doc.root(), next_id).ok();
+    }
+    for (uint64_t id = 1 + round * 20; id <= (round + 1) * 20; ++id) {
+      xml::Document doc = MustParse(doc_text(id));
+      writer_ok = writer_ok && index->DeleteDocument(*doc.root(), id).ok();
+    }
+    writer_ok = writer_ok && index->Flush().ok();
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& thread : readers) thread.join();
+  ASSERT_TRUE(writer_ok);
+  ASSERT_EQ(bad.load(), 0);
+
+  // The current version has moved on: 120 base documents deleted, 240 added.
+  auto current = index->Query("//leaf");
+  ASSERT_TRUE(current.ok());
+  EXPECT_EQ(current->size(), kBaseDocs - 120 + 240);
+
+  ASSERT_TRUE(index->Flush().ok());
+  index.reset();
+  auto report = RunFsck(dir_);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->ok()) << report->Summary();
+  EXPECT_EQ(report->leaked_pages, 0u);
+}
+
 }  // namespace
 }  // namespace vist

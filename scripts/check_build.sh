@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full test suite, build
-# the tree again as Release (-O3, into <build-dir>-release), then run the
+# the tree again as Release (-O3, into <build-dir>-release), build it as
+# Debug (into <build-dir>-debug) and rerun the suite there, then run the
 # static-analysis gate (clang -Wthread-safety build + clang-tidy; skips
 # itself when clang is absent) and the sanitizer passes (ASan/UBSan over the
 # fault-tolerance surface, TSan over the concurrent read path).
 # VIST_SKIP_STATIC=1 skips the static gate; VIST_SKIP_SANITIZERS=1 skips the
-# sanitizer passes.
+# sanitizer passes. The last lines name every gate that was skipped, and
+# why.
 # Usage: scripts/check_build.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -21,6 +23,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # the -Werror library build unnoticed.
 cmake -B "$BUILD_DIR-release" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR-release" -j "$(nproc)"
+
+# Debug (-O0) build and test run, so every CMake configuration is built
+# and the suite also passes unoptimized (no test may lean on the
+# optimizer for its correctness or its time budget).
+cmake -B "$BUILD_DIR-debug" -S . -DCMAKE_BUILD_TYPE=Debug
+cmake --build "$BUILD_DIR-debug" -j "$(nproc)"
+ctest --test-dir "$BUILD_DIR-debug" --output-on-failure -j "$(nproc)"
 
 # End-to-end serving smoke: boots a real vist_server on an ephemeral port
 # and runs a scripted QUERY/INSERT/STATS exchange over TCP (also part of
@@ -46,17 +55,44 @@ if ! grep -q "Test #" <<<"$differential_tests"; then
 fi
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L differential
 
+# Gates that did not run, each as "<gate> (<why>)", reported at the end.
+skipped=()
+
 if [[ "${VIST_SKIP_STATIC:-0}" != "1" ]]; then
   # exit 77 = clang unavailable on this host; not a failure of the tree.
-  scripts/check_static.sh || { rc=$?; [[ $rc -eq 77 ]] || exit $rc; }
+  rc=0
+  scripts/check_static.sh || rc=$?
+  if [[ $rc -eq 77 ]]; then
+    skipped+=("static analysis (clang++ not found)")
+  elif [[ $rc -ne 0 ]]; then
+    exit $rc
+  fi
+else
+  skipped+=("static analysis (VIST_SKIP_STATIC=1)")
 fi
 
 # ViST invariant linter + lock-order doc diff (exit 77 = python3
 # unavailable; not a failure of the tree). Also part of the ctest run
 # above as invariants_gate/lint_mutant_test (label: lint).
-scripts/check_invariants.sh || { rc=$?; [[ $rc -eq 77 ]] || exit $rc; }
+rc=0
+scripts/check_invariants.sh || rc=$?
+if [[ $rc -eq 77 ]]; then
+  skipped+=("invariant linter (python3 not found)")
+elif [[ $rc -ne 0 ]]; then
+  exit $rc
+fi
 
 if [[ "${VIST_SKIP_SANITIZERS:-0}" != "1" ]]; then
   scripts/check_sanitizers.sh
   scripts/check_tsan.sh
+else
+  skipped+=("sanitizers (VIST_SKIP_SANITIZERS=1)")
+fi
+
+if [[ ${#skipped[@]} -eq 0 ]]; then
+  echo "check_build.sh: every gate ran"
+else
+  for gate in "${skipped[@]}"; do
+    echo "check_build.sh: SKIPPED: $gate"
+  done
 fi

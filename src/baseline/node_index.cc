@@ -72,24 +72,15 @@ Result<std::unique_ptr<NodeIndex>> NodeIndex::Create(
   pager_options.page_size = options.page_size;
   pager_options.durability = options.durability;
   pager_options.env = options.env;
-  VIST_ASSIGN_OR_RETURN(index->pager_,
-                        Pager::Open(dir + "/nodes.db", pager_options));
-  const size_t pool_pages = std::max<size_t>(options.buffer_pool_pages, 256);
-  index->pool_ =
-      std::make_unique<BufferPool>(index->pager_.get(), pool_pages);
-  index->versions_ = std::make_unique<VersionManager>(index->pager_.get(),
-                                                      index->pool_.get());
-  index->versions_->Bootstrap();
-  index->versions_->BeginWrite();
-  auto created = BTree::Create(index->pager_.get(), index->pool_.get(),
-                               index->versions_.get(), kTreeSlot);
-  if (created.ok()) {
-    index->tree_ = std::move(*created);
-    VIST_RETURN_IF_ERROR(index->versions_->Commit(/*epoch=*/0));
-  } else {
-    index->versions_->Abort();
-    return created.status();
-  }
+  VIST_ASSIGN_OR_RETURN(index->file_,
+                        TreeFile::Open(dir + "/nodes.db", pager_options,
+                                       options.buffer_pool_pages));
+  TreeFile* file = index->file_.get();
+  auto create_tree = [&]() -> Status {
+    VIST_ASSIGN_OR_RETURN(index->tree_, file->CreateTree(kTreeSlot));
+    return Status::OK();
+  };
+  VIST_RETURN_IF_ERROR(file->Write(/*epoch=*/0, create_tree));
   return index;
 }
 
@@ -138,22 +129,18 @@ void NodeIndex::EnumerateRegions(const xml::Node& root, uint64_t doc_id,
 
 Status NodeIndex::InsertDocument(const xml::Node& root, uint64_t doc_id) {
   WriterLock lock(mu_);
-  versions_->BeginWrite();
-  Status s = InsertDocumentImpl(root, doc_id);
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
+  Status s = file_->Write(epoch() + 1, [&]() VIST_REQUIRES(mu_) {
+    return InsertDocumentImpl(root, doc_id);
+  });
   // Install-then-bump (the QueryableIndex epoch contract).
   BumpEpoch();
   return s;
 }
 
 Status NodeIndex::InsertDocumentImpl(const xml::Node& root, uint64_t doc_id) {
-  versions_->SetWorkingSlot(kNumDocumentsSlot,
-                            versions_->WorkingSlot(kNumDocumentsSlot) + 1);
-  uint64_t max_depth = versions_->WorkingSlot(kMaxDepthSlot);
+  file_->SetWorkingSlot(kNumDocumentsSlot,
+                        file_->WorkingSlot(kNumDocumentsSlot) + 1);
+  uint64_t max_depth = file_->WorkingSlot(kMaxDepthSlot);
   std::vector<std::pair<Symbol, Region>> entries;
   EnumerateRegions(root, doc_id, &entries);
   for (const auto& [symbol, region] : entries) {
@@ -164,26 +151,22 @@ Status NodeIndex::InsertDocumentImpl(const xml::Node& root, uint64_t doc_id) {
     }
     VIST_RETURN_IF_ERROR(PutRegion(symbol, region));
   }
-  versions_->SetWorkingSlot(kMaxDepthSlot, max_depth);
+  file_->SetWorkingSlot(kMaxDepthSlot, max_depth);
   return Status::OK();
 }
 
 Status NodeIndex::DeleteDocument(const xml::Node& root, uint64_t doc_id) {
   WriterLock lock(mu_);
-  versions_->BeginWrite();
-  Status s = DeleteDocumentImpl(root, doc_id);
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
+  Status s = file_->Write(epoch() + 1, [&]() VIST_REQUIRES(mu_) {
+    return DeleteDocumentImpl(root, doc_id);
+  });
   BumpEpoch();
   return s;
 }
 
 Status NodeIndex::DeleteDocumentImpl(const xml::Node& root, uint64_t doc_id) {
-  const uint64_t docs = versions_->WorkingSlot(kNumDocumentsSlot);
-  if (docs > 0) versions_->SetWorkingSlot(kNumDocumentsSlot, docs - 1);
+  const uint64_t docs = file_->WorkingSlot(kNumDocumentsSlot);
+  if (docs > 0) file_->SetWorkingSlot(kNumDocumentsSlot, docs - 1);
   std::vector<std::pair<Symbol, Region>> entries;
   EnumerateRegions(root, doc_id, &entries);
   for (const auto& [symbol, region] : entries) {
@@ -198,25 +181,10 @@ Status NodeIndex::DeleteDocumentImpl(const xml::Node& root, uint64_t doc_id) {
 }
 
 std::shared_ptr<const NodeSnapshot> NodeIndex::PinSnapshot() const {
-  std::shared_ptr<NodeSnapshot> snap(new NodeSnapshot());
-  snap->owner_ = this;
-  snap->version_ = versions_->Pin();
+  std::shared_ptr<NodeSnapshot> snap(new NodeSnapshot(this));
+  snap->version_ = file_->Pin();
   snap->tree_ = tree_->ViewAt(*snap->version_);
   return snap;
-}
-
-Result<std::shared_ptr<const NodeSnapshot>> NodeIndex::ResolveSnapshot(
-    const QueryOptions& options) const {
-  if (options.snapshot == nullptr) return PinSnapshot();
-  const auto* snap = dynamic_cast<const NodeSnapshot*>(options.snapshot);
-  if (snap == nullptr || snap->owner_ != this) {
-    return Status::InvalidArgument(
-        "QueryOptions::snapshot was not issued by this NodeIndex");
-  }
-  // Borrowed: the caller keeps the owning shared_ptr alive for the call
-  // (QueryOptions contract), so a non-owning alias is sound here.
-  return std::shared_ptr<const NodeSnapshot>(
-      std::shared_ptr<const NodeSnapshot>(), snap);
 }
 
 Result<std::shared_ptr<const Snapshot>> NodeIndex::GetSnapshot() {
@@ -377,8 +345,9 @@ Result<std::vector<uint64_t>> NodeIndex::QueryWithPlan(
     profile->query = plan.path();
   }
   // Lock-free: the whole evaluation reads one pinned version.
-  VIST_ASSIGN_OR_RETURN(std::shared_ptr<const NodeSnapshot> snap,
-                        ResolveSnapshot(options));
+  VIST_ASSIGN_OR_RETURN(
+      std::shared_ptr<const NodeSnapshot> snap,
+      ResolveSnapshot<NodeSnapshot>(options, [this] { return PinSnapshot(); }));
   obs::ProfileScope scope(profile);
   DeadlineChecker checker(options.deadline);
   uint64_t query_joins = 0;
@@ -425,7 +394,7 @@ Result<std::vector<uint64_t>> NodeIndex::EvalTree(const NodeSnapshot& snap,
 Result<IndexStats> NodeIndex::Stats() {
   std::shared_ptr<const NodeSnapshot> snap = PinSnapshot();
   IndexStats stats;
-  stats.size_bytes = pager_->page_count() * pager_->page_size();
+  stats.size_bytes = file_->size_bytes();
   stats.num_documents = snap->version_->slots[kNumDocumentsSlot];
   stats.max_depth = snap->version_->slots[kMaxDepthSlot];
   return stats;
@@ -433,11 +402,7 @@ Result<IndexStats> NodeIndex::Stats() {
 
 Status NodeIndex::Flush() {
   WriterLock lock(mu_);
-  // Return limbo pages whose last pinning reader has departed before
-  // syncing, so the durable freelist accounts for them.
-  Status s = versions_->ReclaimEligible();
-  if (s.ok()) s = pool_->FlushAll();
-  if (s.ok()) s = pager_->Sync();
+  Status s = file_->Flush();
   BumpEpoch();
   return s;
 }

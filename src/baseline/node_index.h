@@ -25,10 +25,7 @@
 #include "obs/query_profile.h"
 #include "query/path_expr.h"
 #include "seq/symbol_table.h"
-#include "storage/btree.h"
-#include "storage/buffer_pool.h"
-#include "storage/pager.h"
-#include "storage/version.h"
+#include "storage/tree_file.h"
 #include "xml/node.h"
 
 namespace vist {
@@ -48,9 +45,8 @@ class NodeSnapshot : public Snapshot {
 
  private:
   friend class NodeIndex;
-  NodeSnapshot() = default;
+  explicit NodeSnapshot(const QueryableIndex* owner) : Snapshot(owner) {}
 
-  const class NodeIndex* owner_ = nullptr;
   std::shared_ptr<const Version> version_;
   BTreeView tree_;
 };
@@ -114,9 +110,7 @@ class NodeIndex : public QueryableIndex {
     return last_query_joins_.load(std::memory_order_relaxed);
   }
 
-  uint64_t size_bytes() const {
-    return pager_->page_count() * pager_->page_size();
-  }
+  uint64_t size_bytes() const { return file_->size_bytes(); }
 
  private:
   /// One region-labeled node occurrence.
@@ -142,9 +136,6 @@ class NodeIndex : public QueryableIndex {
 
   /// Pins the current version and builds its tree view (never fails).
   std::shared_ptr<const NodeSnapshot> PinSnapshot() const;
-  /// options.snapshot when set (validated to be ours), else PinSnapshot().
-  Result<std::shared_ptr<const NodeSnapshot>> ResolveSnapshot(
-      const QueryOptions& options) const;
 
   /// Region-labels `root` exactly as indexing does — start = preorder
   /// rank, end = rank of the last descendant, level = depth, values
@@ -186,10 +177,8 @@ class NodeIndex : public QueryableIndex {
 
   SymbolTable* symtab_;
   NodeIndexOptions options_;
-  std::unique_ptr<Pager> pager_;
-  std::unique_ptr<BufferPool> pool_;
-  // Declared after pool_ (destroyed first): reclamation frees through it.
-  std::unique_ptr<VersionManager> versions_;
+  // Declared before tree_ (destroyed after it): the tree points into it.
+  std::unique_ptr<TreeFile> file_;
   std::unique_ptr<BTree> tree_;
   std::atomic<uint64_t> last_query_joins_{0};
 };

@@ -37,10 +37,7 @@
 #include "query/query_sequence.h"
 #include "seq/sequence.h"
 #include "seq/symbol_table.h"
-#include "storage/btree.h"
-#include "storage/buffer_pool.h"
-#include "storage/pager.h"
-#include "storage/version.h"
+#include "storage/tree_file.h"
 
 namespace vist {
 
@@ -68,9 +65,8 @@ class PathSnapshot : public Snapshot {
 
  private:
   friend class PathIndex;
-  PathSnapshot() = default;
+  explicit PathSnapshot(const QueryableIndex* owner) : Snapshot(owner) {}
 
-  const class PathIndex* owner_ = nullptr;
   std::shared_ptr<const Version> version_;
   BTreeView tree_;
   std::shared_ptr<const std::vector<RefinedPath>> refined_;
@@ -154,9 +150,7 @@ class PathIndex : public QueryableIndex {
     return last_query_joins_.load(std::memory_order_relaxed);
   }
 
-  uint64_t size_bytes() const {
-    return pager_->page_count() * pager_->page_size();
-  }
+  uint64_t size_bytes() const { return file_->size_bytes(); }
 
  private:
   PathIndex(const SymbolTable* symtab, PathIndexOptions options);
@@ -169,9 +163,6 @@ class PathIndex : public QueryableIndex {
 
   /// Pins the current version plus the refined list (never fails).
   std::shared_ptr<const PathSnapshot> PinSnapshot() const;
-  /// options.snapshot when set (validated to be ours), else PinSnapshot().
-  Result<std::shared_ptr<const PathSnapshot>> ResolveSnapshot(
-      const QueryOptions& options) const;
 
   /// Plan body: evaluates each leaf-path pattern against `snap` and
   /// intersects (joins) the doc-id sets. Join count goes to `*joins`
@@ -199,10 +190,8 @@ class PathIndex : public QueryableIndex {
 
   const SymbolTable* symtab_;
   PathIndexOptions options_;
-  std::unique_ptr<Pager> pager_;
-  std::unique_ptr<BufferPool> pool_;
-  // Declared after pool_ (destroyed first): reclamation frees through it.
-  std::unique_ptr<VersionManager> versions_;
+  // Declared before tree_ (destroyed after it): the tree points into it.
+  std::unique_ptr<TreeFile> file_;
   std::unique_ptr<BTree> tree_;
   std::atomic<uint64_t> last_query_joins_{0};
 

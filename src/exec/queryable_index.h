@@ -13,7 +13,7 @@
 //
 // The epoch contract: every public mutating entry point bumps the epoch
 // exactly once per writer section, at the *end* of the section — strictly
-// after the mutation's new version is installed (VersionManager::Commit)
+// after the mutation's new version is installed (TreeFile::Write)
 // or rolled back, and before the writer lock is released. Install-then-
 // bump means two equal epoch reads bracket a window in which the set of
 // published versions did not shrink to exclude what either read saw: any
@@ -47,6 +47,8 @@
 
 namespace vist {
 
+class QueryableIndex;
+
 /// A pinned, immutable read view of one index: every query evaluated
 /// against it sees the same committed state, no matter how many writer
 /// transactions commit in the meantime — and holding one never blocks a
@@ -68,7 +70,13 @@ class Snapshot {
   virtual uint64_t epoch() const = 0;
 
  protected:
-  Snapshot() = default;
+  /// `owner` is the index that issues the snapshot; queries sent to any
+  /// other index reject it (QueryableIndex::ResolveSnapshot).
+  explicit Snapshot(const QueryableIndex* owner) : owner_(owner) {}
+
+ private:
+  friend class QueryableIndex;
+  const QueryableIndex* const owner_;
 };
 
 /// Per-query options, shared by every engine.
@@ -190,6 +198,27 @@ class QueryableIndex {
   /// the end of the writer section (after commit or rollback), while
   /// still holding their writer lock.
   void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
+
+  /// The snapshot a query reads: `pin()` (a fresh pin of the current
+  /// state) when options.snapshot is null, else options.snapshot, which
+  /// must be a `SnapshotT` this index issued (InvalidArgument otherwise).
+  /// A borrowed snapshot comes back as a non-owning alias: the caller
+  /// keeps the owning shared_ptr alive for the call (QueryOptions
+  /// contract).
+  template <typename SnapshotT, typename PinFn>
+  Result<std::shared_ptr<const SnapshotT>> ResolveSnapshot(
+      const QueryOptions& options, PinFn pin) const {
+    if (options.snapshot == nullptr) return pin();
+    const auto* snap = options.snapshot->owner_ == this
+                           ? dynamic_cast<const SnapshotT*>(options.snapshot)
+                           : nullptr;
+    if (snap == nullptr) {
+      return Status::InvalidArgument(
+          "QueryOptions::snapshot was not issued by this index");
+    }
+    return std::shared_ptr<const SnapshotT>(
+        std::shared_ptr<const SnapshotT>(), snap);
+  }
 
  private:
   std::atomic<uint64_t> epoch_{0};

@@ -241,8 +241,7 @@ Status Router::DeleteDocument(const xml::Node& root, uint64_t doc_id) {
 }
 
 Status Router::RebuildSnapshot(uint64_t new_epoch) {
-  auto snap = std::shared_ptr<RouterSnapshot>(new RouterSnapshot());
-  snap->owner_ = this;
+  auto snap = std::shared_ptr<RouterSnapshot>(new RouterSnapshot(this));
   snap->epoch_ = new_epoch;
   for (size_t i = 0; i < kNumEngines; ++i) {
     VIST_ASSIGN_OR_RETURN(snap->engines_[i],
@@ -251,22 +250,6 @@ Status Router::RebuildSnapshot(uint64_t new_epoch) {
   snap->name_stats_ = name_stats_.Load();
   snapshot_.Store(std::move(snap));
   return Status::OK();
-}
-
-Result<std::shared_ptr<const RouterSnapshot>> Router::ResolveSnapshot(
-    const QueryOptions& options) const {
-  if (options.snapshot == nullptr) {
-    return snapshot_.Load();
-  }
-  const auto* snap = dynamic_cast<const RouterSnapshot*>(options.snapshot);
-  if (snap == nullptr || snap->owner_ != this) {
-    return Status::InvalidArgument(
-        "QueryOptions::snapshot was not taken from this router");
-  }
-  // Borrowed for the duration of the call (the QueryOptions contract):
-  // alias it without owning it.
-  return std::shared_ptr<const RouterSnapshot>(
-      std::shared_ptr<const RouterSnapshot>(), snap);
 }
 
 Result<std::shared_ptr<const Snapshot>> Router::GetSnapshot() {
@@ -333,9 +316,11 @@ Result<std::vector<uint64_t>> Router::QueryWithPlan(
   // each engine its own member snapshot, so every attempt (failovers
   // included) sees either all or none of any document — which is what
   // makes the router's epoch meaningful to exec::CachingIndex — and a
-  // reader never waits on an in-flight fan-out.
+  // reader never waits on an in-flight fan-out. Without an explicit
+  // options.snapshot the query reads the published composite snapshot.
   VIST_ASSIGN_OR_RETURN(std::shared_ptr<const RouterSnapshot> snap,
-                        ResolveSnapshot(options));
+                        ResolveSnapshot<RouterSnapshot>(
+                            options, [this] { return snapshot_.Load(); }));
   const PlanFeatures& features = router_plan->features();
   const double selectivity =
       EstimateSelectivity(features, *snap->name_stats_);

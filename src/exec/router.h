@@ -183,11 +183,6 @@ class Router : public QueryableIndex {
   /// contract).
   Status RebuildSnapshot(uint64_t new_epoch) VIST_REQUIRES(mu_);
 
-  /// options.snapshot when set (validated to be ours), else the published
-  /// composite snapshot.
-  Result<std::shared_ptr<const RouterSnapshot>> ResolveSnapshot(
-      const QueryOptions& options) const;
-
   QueryableIndex* EngineFor(Engine engine) const;
 
   VistIndex* const vist_;
@@ -225,9 +220,8 @@ class RouterSnapshot : public Snapshot {
 
  private:
   friend class Router;
-  RouterSnapshot() = default;
+  explicit RouterSnapshot(const QueryableIndex* owner) : Snapshot(owner) {}
 
-  const Router* owner_ = nullptr;
   uint64_t epoch_ = 0;
   std::array<std::shared_ptr<const Snapshot>, Router::kNumEngines> engines_;
   std::shared_ptr<const NameStats> name_stats_;

@@ -208,7 +208,6 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
 
   auto& thread_counters = obs::ThisThreadStorageCounters();
   if (!loader) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
     ++thread_counters.buffer_pool_hits;
     PoolMetrics::Get().hits.Increment();
     Status s = ResolveLoad(frame);
@@ -219,7 +218,6 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
     return PageRef(this, frame);
   }
 
-  misses_.fetch_add(1, std::memory_order_relaxed);
   ++thread_counters.buffer_pool_misses;
   PoolMetrics::Get().misses.Increment();
   Status s = pager_->ReadPage(id, frame->data.get());
@@ -253,7 +251,6 @@ Result<PageRef> BufferPool::New() {
     VIST_CHECK(shard.frames.find(id) == shard.frames.end());
     VIST_ASSIGN_OR_RETURN(frame, InstallFrame(shard, id, /*loading=*/false));
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   ++obs::ThisThreadStorageCounters().buffer_pool_misses;
   PoolMetrics::Get().misses.Increment();
   frame->dirty.store(true, std::memory_order_relaxed);

@@ -34,9 +34,11 @@
 //                      two threads miss on the same page and both read it
 //                      from disk into distinct frames.
 //
-// Pin counts, the dirty and needs-validation flags, and the hit/miss
-// counters are atomics: they are touched on the hot fetch path and by
-// threads that only hold the frame pinned, not the shard mutex.
+// Pin counts and the dirty and needs-validation flags are atomics: they
+// are touched on the hot fetch path and by threads that only hold the
+// frame pinned, not the shard mutex. Hits and misses are counted in the
+// metrics registry (storage.buffer_pool.{hits,misses}) and its per-thread
+// mirror, not in the pool.
 
 #ifndef VIST_STORAGE_BUFFER_POOL_H_
 #define VIST_STORAGE_BUFFER_POOL_H_
@@ -173,12 +175,6 @@ class BufferPool {
 
   size_t capacity() const { return capacity_; }
   size_t shard_count() const { return shards_.size(); }
-  uint64_t hit_count() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t miss_count() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
 
  private:
   friend class PageRef;
@@ -216,8 +212,6 @@ class BufferPool {
   Pager* pager_;
   size_t capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
 };
 
 }  // namespace vist

@@ -469,7 +469,13 @@ Result<PageId> Pager::AllocatePage() {
   // Extend the file so subsequent ReadPage of this id succeeds; WritePage
   // stamps a valid trailer (and skips journaling, as the page is new).
   std::vector<char> zero(page_size_, 0);
-  VIST_RETURN_IF_ERROR(WritePageLocked(id, zero.data()));
+  Status s = WritePageLocked(id, zero.data());
+  if (!s.ok()) {
+    // Nothing links the id yet: hand it back rather than leak a page that
+    // was never written.
+    page_count_.fetch_sub(1, std::memory_order_acq_rel);
+    return s;
+  }
   return id;
 }
 

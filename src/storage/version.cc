@@ -31,10 +31,10 @@ VersionManager::VersionManager(Pager* pager, BufferPool* pool)
     : pager_(pager), pool_(pool) {}
 
 VersionManager::~VersionManager() {
-  // Backstop only: owners drain limbo (ReclaimAllForClose) before their
-  // final Flush so the freed pages reach disk. Anything still here frees
-  // into an un-synced pager; crash-marked owners call AbandonForCrash
-  // first so this loop is empty.
+  // Backstop only: TreeFile::Close drains limbo before its final flush so
+  // the freed pages reach disk. Anything still here frees into an
+  // un-synced pager; a crashed TreeFile calls AbandonForCrash first so
+  // this loop is empty.
   Status s = ReclaimAllForClose();
   if (!s.ok()) {
     VIST_LOG(Error) << "version manager close: " << s.ToString();
@@ -132,7 +132,11 @@ Status VersionManager::Commit(uint64_t epoch) {
   current_.Store(std::move(v));
   MvccMetrics::Get().versions_published.Increment();
   in_write_ = false;
-  return ReclaimEligible();
+  // The mutation is visible now, so it must not report failure: a page
+  // that cannot be freed stays in limbo (counted as reclaim_deferred) and
+  // the next Flush-time pass retries it, surfacing a lasting error there.
+  IgnoreError(ReclaimEligible());
+  return Status::OK();
 }
 
 void VersionManager::Abort() {

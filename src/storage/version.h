@@ -18,7 +18,8 @@
 // lock, which is why the manager carries no mutex of its own. One
 // VersionManager owns the meta slots of one pager file; all B+ trees in
 // that file share it so a multi-tree mutation commits as a single
-// version.
+// version. Engines reach it only through TreeFile
+// (storage/tree_file.h), which runs the commit, flush and close protocol.
 
 #ifndef VIST_STORAGE_VERSION_H_
 #define VIST_STORAGE_VERSION_H_
@@ -98,7 +99,8 @@ class VersionManager {
   /// first; if that fails the transaction is rolled back and the
   /// previous version stays current (nothing is published). On success
   /// retired pages enter limbo and any limbo pages no snapshot can still
-  /// reach are freed.
+  /// reach are freed; a page that fails to free stays in limbo without
+  /// failing the (already published) commit.
   Status Commit(uint64_t epoch);
 
   /// Rolls the transaction back: frees fresh pages, forgets retire
@@ -107,8 +109,8 @@ class VersionManager {
   void Abort();
 
   /// Frees every limbo page whose retiring version predates all live
-  /// pins. Called by Commit; callable from Flush-style paths to drain
-  /// pages whose readers have since departed.
+  /// pins. Called by Commit and by TreeFile::Flush, which drains pages
+  /// whose readers have since departed and reports a lasting error.
   Status ReclaimEligible();
 
   /// Drains the entire limbo list unconditionally. Call at index close,

@@ -65,27 +65,16 @@ Result<std::unique_ptr<RistIndex>> RistIndex::Build(
   std::unique_ptr<RistIndex> index(new RistIndex(symtab, options));
   PagerOptions pager_options;
   pager_options.page_size = options.page_size;
-  VIST_ASSIGN_OR_RETURN(index->pager_,
-                        Pager::Open(dir + "/rist.db", pager_options));
-  const size_t pool_pages = std::max<size_t>(options.buffer_pool_pages, 256);
-  index->pool_ =
-      std::make_unique<BufferPool>(index->pager_.get(), pool_pages);
-  index->versions_ = std::make_unique<VersionManager>(index->pager_.get(),
-                                                      index->pool_.get());
-  index->versions_->Bootstrap();
+  VIST_ASSIGN_OR_RETURN(index->file_,
+                        TreeFile::Open(dir + "/rist.db", pager_options,
+                                       options.buffer_pool_pages));
+  TreeFile* file = index->file_.get();
 
-  // The whole bulk load is one write transaction committing one version —
-  // the only version a static index ever has.
-  index->versions_->BeginWrite();
-  Status loaded = [&]() -> Status {
-    VIST_ASSIGN_OR_RETURN(
-        index->entry_tree_,
-        BTree::Create(index->pager_.get(), index->pool_.get(),
-                      index->versions_.get(), kEntryTreeSlot));
-    VIST_ASSIGN_OR_RETURN(
-        index->docid_tree_,
-        BTree::Create(index->pager_.get(), index->pool_.get(),
-                      index->versions_.get(), kDocIdTreeSlot));
+  auto load = [&]() -> Status {
+    VIST_ASSIGN_OR_RETURN(index->entry_tree_,
+                          file->CreateTree(kEntryTreeSlot));
+    VIST_ASSIGN_OR_RETURN(index->docid_tree_,
+                          file->CreateTree(kDocIdTreeSlot));
     // Step iii): insert every labeled node into the B+ trees.
     uint64_t max_depth = 0;
     VIST_RETURN_IF_ERROR(LoadSubtree(*trie.root(), /*is_root=*/true, 0,
@@ -93,13 +82,11 @@ Result<std::unique_ptr<RistIndex>> RistIndex::Build(
                                      index->docid_tree_.get(), &max_depth));
     index->max_depth_ = max_depth;
     return Status::OK();
-  }();
-  if (loaded.ok()) loaded = index->versions_->Commit(/*epoch=*/0);
-  if (!loaded.ok()) {
-    index->versions_->Abort();
-    return loaded;
-  }
-  index->version_ = index->versions_->Pin();
+  };
+  // The whole bulk load is one write transaction committing one version —
+  // the only version a static index ever has.
+  VIST_RETURN_IF_ERROR(file->Write(/*epoch=*/0, load));
+  index->version_ = file->Pin();
   index->num_nodes_ = trie.num_nodes();
   return index;
 }

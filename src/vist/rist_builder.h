@@ -24,10 +24,7 @@
 #include "common/result.h"
 #include "seq/sequence.h"
 #include "seq/symbol_table.h"
-#include "storage/btree.h"
-#include "storage/buffer_pool.h"
-#include "storage/pager.h"
-#include "storage/version.h"
+#include "storage/tree_file.h"
 #include "vist/matcher.h"
 
 namespace vist {
@@ -62,9 +59,7 @@ class RistIndex {
       obs::QueryProfile* profile = nullptr);
 
   /// Page-file size in bytes (index-size experiments).
-  uint64_t size_bytes() const {
-    return pager_->page_count() * pager_->page_size();
-  }
+  uint64_t size_bytes() const { return file_->size_bytes(); }
   /// Trie nodes indexed.
   uint64_t num_nodes() const { return num_nodes_; }
 
@@ -74,10 +69,8 @@ class RistIndex {
 
   const SymbolTable* symtab_;
   RistOptions options_;
-  std::unique_ptr<Pager> pager_;
-  std::unique_ptr<BufferPool> pool_;
-  // Declared after pool_ (destroyed first): reclamation frees through it.
-  std::unique_ptr<VersionManager> versions_;
+  // Declared before the trees (destroyed after them): they point into it.
+  std::unique_ptr<TreeFile> file_;
   std::unique_ptr<BTree> entry_tree_;
   std::unique_ptr<BTree> docid_tree_;
   /// The one committed version (the index is static); every query reads

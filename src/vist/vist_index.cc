@@ -101,17 +101,11 @@ VistIndex::VistIndex(std::string dir, VistOptions options)
       root_key_(EncodeEntryKey(EncodeDKey(kInvalidSymbol, {}), 0, 0)) {}
 
 VistIndex::~VistIndex() {
-  if (pager_ == nullptr) return;
-  if (crashed_) {
-    // Unflushed pages never reach disk; orphan the limbo list too (the
-    // journal rollback on reopen returns the whole batch, limbo included).
-    versions_->AbandonForCrash();
-    return;
-  }
-  // Flush drains every reclaimable limbo page first (no snapshots may
-  // outlive the index, so at this point that is all of them) — the synced
-  // freelist then accounts for every retired page and fsck stays clean.
-  Status s = Flush();
+  // A crashed index leaves its unflushed state behind; otherwise save the
+  // symbol table, and file_'s destructor closes the page file (drains
+  // limbo, then flushes).
+  if (file_ == nullptr || crashed_) return;
+  Status s = symtab_.Save(SymbolsPath(dir_));
   if (!s.ok()) VIST_LOG(Error) << "index close: " << s.ToString();
 }
 
@@ -120,9 +114,7 @@ void VistIndex::SimulateCrashForTesting() {
   // commits a mutation readers could observe at a new epoch)
   WriterLock lock(mu_);
   crashed_ = true;
-  versions_->AbandonForCrash();
-  pool_->SimulateCrashForTesting();
-  pager_->SimulateCrashForTesting();
+  file_->SimulateCrashForTesting();
 }
 
 Status VistIndex::InitTrees(bool create) {
@@ -130,49 +122,24 @@ Status VistIndex::InitTrees(bool create) {
   pager_options.page_size = options_.page_size;
   pager_options.durability = options_.durability;
   pager_options.env = options_.env;
-  VIST_ASSIGN_OR_RETURN(pager_,
-                        Pager::Open(PageFilePath(dir_), pager_options));
-  const size_t pool_pages = std::max<size_t>(options_.buffer_pool_pages, 256);
-  pool_ = std::make_unique<BufferPool>(pager_.get(), pool_pages);
-  versions_ = std::make_unique<VersionManager>(pager_.get(), pool_.get());
-  versions_->Bootstrap();
-  if (create) {
-    // Creating the trees allocates their root pages and points the meta
-    // slots at them — one version-install transaction like any mutation.
-    versions_->BeginWrite();
-    Status created = [&]() -> Status {
-      VIST_ASSIGN_OR_RETURN(entry_tree_,
-                            BTree::Create(pager_.get(), pool_.get(),
-                                          versions_.get(), kEntryTreeSlot));
-      VIST_ASSIGN_OR_RETURN(docid_tree_,
-                            BTree::Create(pager_.get(), pool_.get(),
-                                          versions_.get(), kDocIdTreeSlot));
-      if (options_.store_documents) {
-        VIST_ASSIGN_OR_RETURN(doc_store_,
-                              BTree::Create(pager_.get(), pool_.get(),
-                                            versions_.get(), kDocStoreSlot));
-      }
-      return Status::OK();
-    }();
-    if (created.ok()) {
-      created = versions_->Commit(/*epoch=*/0);
-    } else {
-      versions_->Abort();
-    }
-    VIST_RETURN_IF_ERROR(created);
-  } else {
-    VIST_ASSIGN_OR_RETURN(entry_tree_,
-                          BTree::Open(pager_.get(), pool_.get(),
-                                      versions_.get(), kEntryTreeSlot));
-    VIST_ASSIGN_OR_RETURN(docid_tree_,
-                          BTree::Open(pager_.get(), pool_.get(),
-                                      versions_.get(), kDocIdTreeSlot));
+  VIST_ASSIGN_OR_RETURN(file_,
+                        TreeFile::Open(PageFilePath(dir_), pager_options,
+                                       options_.buffer_pool_pages));
+  auto load_trees = [&]() -> Status {
+    auto tree_at = [&](int slot) {
+      return create ? file_->CreateTree(slot) : file_->OpenTree(slot);
+    };
+    VIST_ASSIGN_OR_RETURN(entry_tree_, tree_at(kEntryTreeSlot));
+    VIST_ASSIGN_OR_RETURN(docid_tree_, tree_at(kDocIdTreeSlot));
     if (options_.store_documents) {
-      VIST_ASSIGN_OR_RETURN(doc_store_,
-                            BTree::Open(pager_.get(), pool_.get(),
-                                        versions_.get(), kDocStoreSlot));
+      VIST_ASSIGN_OR_RETURN(doc_store_, tree_at(kDocStoreSlot));
     }
-  }
+    return Status::OK();
+  };
+  // Creating the trees allocates their root pages and points the meta
+  // slots at them — one version-install transaction like any mutation.
+  VIST_RETURN_IF_ERROR(create ? file_->Write(/*epoch=*/0, load_trees)
+                              : load_trees());
   if (options_.allocator == VistOptions::AllocatorKind::kStatistical) {
     allocator_ = std::make_unique<StatisticalScopeAllocator>(
         &stats_, options_.lambda, options_.reserve_divisor,
@@ -215,17 +182,14 @@ Result<std::unique_ptr<VistIndex>> VistIndex::Create(
     root.n = 0;
     root.size = kMaxScope;
     index->allocator_->InitRecord(&root);
+    VistIndex* raw = index.get();
     // vist-lint: no-epoch-bump(construction: the index is not shared yet,
     // so there is no cache or router watching the epoch)
-    WriterLock lock(index->mu_);
-    index->versions_->BeginWrite();
-    Status s = index->WriteRecord(index->root_key_, root);
-    if (s.ok()) {
-      s = index->versions_->Commit(/*epoch=*/0);
-    } else {
-      index->versions_->Abort();
-    }
-    VIST_RETURN_IF_ERROR(s);
+    WriterLock lock(raw->mu_);
+    VIST_RETURN_IF_ERROR(raw->file_->Write(
+        /*epoch=*/0, [&]() VIST_REQUIRES(raw->mu_) {
+          return raw->WriteRecord(raw->root_key_, root);
+        }));
   }
   VIST_RETURN_IF_ERROR(index->Flush());
   return index;
@@ -290,28 +254,13 @@ Result<bool> VistIndex::FindImmediateChild(const std::string& dkey,
 }
 
 std::shared_ptr<const VistSnapshot> VistIndex::PinSnapshot() const {
-  std::shared_ptr<VistSnapshot> snap(new VistSnapshot());
-  snap->owner_ = this;
-  snap->version_ = versions_->Pin();
+  std::shared_ptr<VistSnapshot> snap(new VistSnapshot(this));
+  snap->version_ = file_->Pin();
   const Version& v = *snap->version_;
   snap->entry_tree_ = entry_tree_->ViewAt(v);
   snap->docid_tree_ = docid_tree_->ViewAt(v);
   if (doc_store_ != nullptr) snap->doc_store_ = doc_store_->ViewAt(v);
   return snap;
-}
-
-Result<std::shared_ptr<const VistSnapshot>> VistIndex::ResolveSnapshot(
-    const QueryOptions& options) const {
-  if (options.snapshot == nullptr) return PinSnapshot();
-  const auto* snap = dynamic_cast<const VistSnapshot*>(options.snapshot);
-  if (snap == nullptr || snap->owner_ != this) {
-    return Status::InvalidArgument(
-        "QueryOptions::snapshot was not issued by this VistIndex");
-  }
-  // Borrowed: the caller keeps the owning shared_ptr alive for the call
-  // (QueryOptions contract), so a non-owning alias is sound here.
-  return std::shared_ptr<const VistSnapshot>(
-      std::shared_ptr<const VistSnapshot>(), snap);
 }
 
 Result<std::shared_ptr<const Snapshot>> VistIndex::GetSnapshot() {
@@ -320,13 +269,9 @@ Result<std::shared_ptr<const Snapshot>> VistIndex::GetSnapshot() {
 
 Status VistIndex::InsertSequence(const Sequence& sequence, uint64_t doc_id) {
   WriterLock lock(mu_);
-  versions_->BeginWrite();
-  Status s = InsertSequenceImpl(sequence, doc_id);
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
+  Status s = file_->Write(epoch() + 1, [&]() VIST_REQUIRES(mu_) {
+    return InsertSequenceImpl(sequence, doc_id);
+  });
   // Install-then-bump (the QueryableIndex epoch contract): the epoch moves
   // only after the new version is published or rolled back, while the
   // writer lock is still held.
@@ -445,13 +390,9 @@ Status VistIndex::InsertUnderflowRun(const Sequence& sequence,
 Status VistIndex::BulkLoadSequences(
     const std::vector<std::pair<uint64_t, Sequence>>& documents) {
   WriterLock lock(mu_);
-  versions_->BeginWrite();
-  Status s = BulkLoadSequencesImpl(documents);
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
+  Status s = file_->Write(epoch() + 1, [&]() VIST_REQUIRES(mu_) {
+    return BulkLoadSequencesImpl(documents);
+  });
   BumpEpoch();
   return s;
 }
@@ -592,19 +533,14 @@ Status VistIndex::BulkLoadSequencesImpl(
 
 Status VistIndex::InsertDocument(const xml::Node& root, uint64_t doc_id) {
   WriterLock lock(mu_);
-  versions_->BeginWrite();
   // Interning is not part of the transaction: the symbol table is
   // append-only, so symbols from an aborted insert are harmless.
   Sequence sequence = BuildSequence(root, &symtab_, options_.sequence);
-  Status s = InsertSequenceImpl(sequence, doc_id);
-  if (s.ok() && options_.store_documents) {
-    s = StoreDocumentText(doc_id, xml::WriteNode(root));
-  }
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
+  Status s = file_->Write(epoch() + 1, [&]() VIST_REQUIRES(mu_) {
+    VIST_RETURN_IF_ERROR(InsertSequenceImpl(sequence, doc_id));
+    if (!options_.store_documents) return Status::OK();
+    return StoreDocumentText(doc_id, xml::WriteNode(root));
+  });
   BumpEpoch();
   return s;
 }
@@ -677,13 +613,9 @@ Result<bool> VistIndex::TryDelete(const Sequence& sequence, size_t i,
 
 Status VistIndex::DeleteSequence(const Sequence& sequence, uint64_t doc_id) {
   WriterLock lock(mu_);
-  versions_->BeginWrite();
-  Status s = DeleteSequenceImpl(sequence, doc_id);
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
+  Status s = file_->Write(epoch() + 1, [&]() VIST_REQUIRES(mu_) {
+    return DeleteSequenceImpl(sequence, doc_id);
+  });
   BumpEpoch();
   return s;
 }
@@ -708,17 +640,12 @@ Status VistIndex::DeleteSequenceImpl(const Sequence& sequence,
 
 Status VistIndex::DeleteDocument(const xml::Node& root, uint64_t doc_id) {
   WriterLock lock(mu_);
-  versions_->BeginWrite();
   Sequence sequence = BuildSequence(root, &symtab_, options_.sequence);
-  Status s = DeleteSequenceImpl(sequence, doc_id);
-  if (s.ok() && options_.store_documents) {
-    s = DeleteDocumentText(doc_id);
-  }
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
+  Status s = file_->Write(epoch() + 1, [&]() VIST_REQUIRES(mu_) {
+    VIST_RETURN_IF_ERROR(DeleteSequenceImpl(sequence, doc_id));
+    if (!options_.store_documents) return Status::OK();
+    return DeleteDocumentText(doc_id);
+  });
   BumpEpoch();
   return s;
 }
@@ -777,8 +704,9 @@ Result<std::vector<uint64_t>> VistIndex::QueryWithPlan(
   // One snapshot covers matching, document fetches, and verification, so
   // the whole query — including its verify pass — observes a single
   // committed version, with no reader lock anywhere.
-  VIST_ASSIGN_OR_RETURN(std::shared_ptr<const VistSnapshot> snap,
-                        ResolveSnapshot(options));
+  VIST_ASSIGN_OR_RETURN(
+      std::shared_ptr<const VistSnapshot> snap,
+      ResolveSnapshot<VistSnapshot>(options, [this] { return PinSnapshot(); }));
   VistMetrics::Get().queries.Increment();
   obs::ScopedTimer timer(VistMetrics::Get().query_latency_us);
   obs::QueryProfile* profile = options.profile;
@@ -881,7 +809,7 @@ Result<IndexStats> VistIndex::Stats() {
   IndexStats stats;
   // page_count is an atomic read; everything else comes from the pinned
   // version, so the cardinalities are mutually consistent.
-  stats.size_bytes = pager_->page_count() * pager_->page_size();
+  stats.size_bytes = file_->size_bytes();
   stats.max_depth = snap->version_->slots[kMaxDepthSlot];
   stats.underflow_runs = snap->version_->slots[kUnderflowSlot];
   NodeRecord root;
@@ -1011,21 +939,12 @@ Result<VistIndex::IntegrityReport> VistIndex::CheckIntegrity() {
 
 Status VistIndex::Flush() {
   WriterLock lock(mu_);
-  Status s = FlushLocked();
+  Status s = symtab_.Save(SymbolsPath(dir_));
+  if (s.ok()) s = file_->Flush();
   // Flush publishes no new version, but it is a public mutating entry
   // point, so the uniform epoch contract still applies.
   BumpEpoch();
   return s;
-}
-
-Status VistIndex::FlushLocked() {
-  // Return limbo pages whose last pinning reader has departed to the
-  // freelist first, so the synced freelist accounts for them (remaining
-  // limbo pages drain at the next Flush or at close).
-  VIST_RETURN_IF_ERROR(versions_->ReclaimEligible());
-  VIST_RETURN_IF_ERROR(symtab_.Save(SymbolsPath(dir_)));
-  VIST_RETURN_IF_ERROR(pool_->FlushAll());
-  return pager_->Sync();
 }
 
 }  // namespace vist

@@ -17,7 +17,7 @@
 // across threads. Mutations (Insert*/Delete*/BulkLoad*/Flush) serialize
 // behind the writer lock and run as copy-on-write transactions: each one
 // builds the next tree version out-of-place and publishes it atomically
-// (VersionManager::Commit), so a failed mutation rolls back completely.
+// (TreeFile::Write), so a failed mutation rolls back completely.
 // Queries (Query/QueryCompiled/GetDocument/Stats/CheckIntegrity) take NO
 // lock at all: each pins the current published version (a Snapshot) and
 // reads only pages frozen in it, so readers never wait on a writer — not
@@ -43,10 +43,7 @@
 #include "query/query_sequence.h"
 #include "seq/sequence.h"
 #include "seq/symbol_table.h"
-#include "storage/btree.h"
-#include "storage/buffer_pool.h"
-#include "storage/pager.h"
-#include "storage/version.h"
+#include "storage/tree_file.h"
 #include "vist/matcher.h"
 #include "vist/schema_stats.h"
 #include "vist/scope_allocator.h"
@@ -105,9 +102,8 @@ class VistSnapshot : public Snapshot {
 
  private:
   friend class VistIndex;
-  VistSnapshot() = default;
+  explicit VistSnapshot(const QueryableIndex* owner) : Snapshot(owner) {}
 
-  const class VistIndex* owner_ = nullptr;
   std::shared_ptr<const Version> version_;
   BTreeView entry_tree_;
   BTreeView docid_tree_;
@@ -220,10 +216,10 @@ class VistIndex : public QueryableIndex {
   VistIndex(std::string dir, VistOptions options);
 
   /// Writer-side bodies of the mutating entry points, for composition:
-  /// e.g. InsertDocument = writer lock + transaction + InsertSequenceImpl
-  /// + StoreDocumentText + commit. The REQUIRES annotations make the
-  /// discipline compiler-checked; all of these additionally run inside an
-  /// open VersionManager write transaction.
+  /// e.g. InsertDocument = writer lock + TreeFile::Write of
+  /// InsertSequenceImpl + StoreDocumentText. The REQUIRES annotations make
+  /// the discipline compiler-checked; all of these additionally run inside
+  /// an open write transaction.
   Status InsertSequenceImpl(const Sequence& sequence, uint64_t doc_id)
       VIST_REQUIRES(mu_);
   Status DeleteSequenceImpl(const Sequence& sequence, uint64_t doc_id)
@@ -231,7 +227,6 @@ class VistIndex : public QueryableIndex {
   Status BulkLoadSequencesImpl(
       const std::vector<std::pair<uint64_t, Sequence>>& documents)
       VIST_REQUIRES(mu_);
-  Status FlushLocked() VIST_REQUIRES(mu_);
 
   /// Reader-side bodies: lock-free, reading only through `snap`'s views.
   Result<std::vector<uint64_t>> QueryCompiledImpl(
@@ -243,9 +238,6 @@ class VistIndex : public QueryableIndex {
 
   /// Pins the current version and builds its tree views (never fails).
   std::shared_ptr<const VistSnapshot> PinSnapshot() const;
-  /// options.snapshot when set (validated to be ours), else PinSnapshot().
-  Result<std::shared_ptr<const VistSnapshot>> ResolveSnapshot(
-      const QueryOptions& options) const;
 
   Status InitTrees(bool create);
   /// Writer-side root-record read (working tree).
@@ -286,16 +278,16 @@ class VistIndex : public QueryableIndex {
   // 4 = underflow_runs): writers see the transaction's working values
   // below; readers take them from their pinned Version's slots.
   uint64_t max_depth() const VIST_REQUIRES(mu_) {
-    return versions_->WorkingSlot(3);
+    return file_->WorkingSlot(3);
   }
   void set_max_depth(uint64_t d) VIST_REQUIRES(mu_) {
-    versions_->SetWorkingSlot(3, d);
+    file_->SetWorkingSlot(3, d);
   }
   uint64_t underflow_runs() const VIST_REQUIRES(mu_) {
-    return versions_->WorkingSlot(4);
+    return file_->WorkingSlot(4);
   }
   void set_underflow_runs(uint64_t c) VIST_REQUIRES(mu_) {
-    versions_->SetWorkingSlot(4, c);
+    file_->SetWorkingSlot(4, c);
   }
 
   /// Writer lock: serializes mutations against each other. Queries never
@@ -307,10 +299,8 @@ class VistIndex : public QueryableIndex {
   VistOptions options_;
   SymbolTable symtab_;
   SchemaStats stats_;
-  std::unique_ptr<Pager> pager_;
-  std::unique_ptr<BufferPool> pool_;
-  // Declared after pool_ (destroyed first): reclamation frees through it.
-  std::unique_ptr<VersionManager> versions_;
+  // Declared before the trees (destroyed after them): they point into it.
+  std::unique_ptr<TreeFile> file_;
   std::unique_ptr<BTree> entry_tree_;
   std::unique_ptr<BTree> docid_tree_;
   std::unique_ptr<BTree> doc_store_;

@@ -26,6 +26,8 @@
 #include "storage/pager.h"
 #include "storage/version.h"
 
+#include "pool_count_deltas.h"
+
 namespace vist {
 namespace {
 
@@ -92,6 +94,7 @@ TEST_F(StorageConcurrencyTest, ConcurrentFetchesUnderEvictionChurn) {
   constexpr int kThreads = 4;
   constexpr int kItersPerThread = 800;
   std::atomic<int> bad{0};
+  const PoolCountDeltas counts;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -109,9 +112,9 @@ TEST_F(StorageConcurrencyTest, ConcurrentFetchesUnderEvictionChurn) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(bad.load(), 0);
   // Every fetch is accounted exactly once, as either a hit or a miss.
-  EXPECT_EQ(pool.hit_count() + pool.miss_count(),
+  EXPECT_EQ(counts.hits() + counts.misses(),
             uint64_t{kThreads} * kItersPerThread);
-  EXPECT_GT(pool.miss_count(), 0u);
+  EXPECT_GT(counts.misses(), 0u);
 }
 
 TEST_F(StorageConcurrencyTest, CollidingMissesOnOnePageReadDiskOnce) {
@@ -122,6 +125,7 @@ TEST_F(StorageConcurrencyTest, CollidingMissesOnOnePageReadDiskOnce) {
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
   std::atomic<int> bad{0};
+  const PoolCountDeltas counts;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
@@ -141,8 +145,8 @@ TEST_F(StorageConcurrencyTest, CollidingMissesOnOnePageReadDiskOnce) {
   EXPECT_EQ(bad.load(), 0);
   // The load handshake dedups the read: one miss performs the I/O, the
   // other racers count as hits waiting on the loading frame.
-  EXPECT_EQ(pool.miss_count(), 1u);
-  EXPECT_EQ(pool.hit_count(), uint64_t{kThreads} - 1);
+  EXPECT_EQ(counts.misses(), 1u);
+  EXPECT_EQ(counts.hits(), uint64_t{kThreads} - 1);
 }
 
 TEST_F(StorageConcurrencyTest, FailedLoadsDoNotStrandFrames) {

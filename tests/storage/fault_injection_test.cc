@@ -11,8 +11,10 @@
 
 #include "common/fault_injection_env.h"
 #include "obs/metrics.h"
+#include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
+#include "storage/version.h"
 
 namespace vist {
 namespace {
@@ -278,6 +280,80 @@ TEST_F(FaultInjectionTest, FetchLoadFailureLeavesNoResidentFrame) {
   auto again = pool.Fetch(ids[0]);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->data()[0], 'A');
+}
+
+// An allocation whose file-extending write fails hands its page id back:
+// the file does not grow, and the next allocation reuses the id.
+TEST_F(FaultInjectionTest, FailedAllocationDoesNotLeakAPage) {
+  FaultInjectionEnv env;
+  PagerOptions opts;
+  opts.env = &env;
+  auto pager = Pager::Open(path_, opts);
+  ASSERT_TRUE(pager.ok());
+  ASSERT_TRUE((*pager)->AllocatePage().ok());  // opens the batch
+  const uint64_t pages = (*pager)->page_count();
+  env.InjectWriteFaults(-1);
+  EXPECT_FALSE((*pager)->AllocatePage().ok());
+  env.InjectWriteFaults(0);
+  EXPECT_EQ((*pager)->page_count(), pages);
+  auto id = (*pager)->AllocatePage();
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(*id, pages);
+  ASSERT_TRUE((*pager)->Sync().ok());
+}
+
+// Once a commit has published its version the mutation is visible, so the
+// commit must report success even when reclaiming older pages fails
+// afterwards; an error there would invite a client to retry (and
+// duplicate) a write that already happened. The unfreed pages stay in
+// limbo and the next flush-time reclaim pass frees them.
+TEST_F(FaultInjectionTest, PublishedCommitSucceedsWhenReclaimFails) {
+  FaultInjectionEnv env;
+  PagerOptions opts;
+  opts.env = &env;
+  auto pager = Pager::Open(path_, opts);
+  ASSERT_TRUE(pager.ok());
+  BufferPool pool(pager->get(), 64);
+  VersionManager versions(pager->get(), &pool);
+  versions.Bootstrap();
+
+  // Version 1: a one-leaf tree, made durable.
+  versions.BeginWrite();
+  auto tree = BTree::Create(pager->get(), &pool, &versions, /*meta_slot=*/0);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_TRUE((*tree)->Put("k", "v1").ok());
+  ASSERT_TRUE(versions.Commit(/*epoch=*/1).ok());
+  ASSERT_TRUE(pool.FlushAll().ok());
+  ASSERT_TRUE((*pager)->Sync().ok());
+
+  // Version 2 shadows the published leaf. The commit's own reclaim pass
+  // still pins version 1, so the retired leaf waits in limbo.
+  versions.BeginWrite();
+  ASSERT_TRUE((*tree)->Put("k", "v2").ok());
+  ASSERT_TRUE(versions.Commit(/*epoch=*/2).ok());
+  ASSERT_GT(versions.limbo_size(), 0u);
+
+  // Version 3 only changes a meta slot (the batch is already open, so its
+  // install does no I/O); freeing the limbo page after the install fails.
+  obs::Counter& deferred = obs::GetCounter("storage.mvcc.reclaim_deferred");
+  const uint64_t deferred_before = deferred.value();
+  env.InjectWriteFaults(-1);
+  versions.BeginWrite();
+  versions.SetWorkingSlot(3, 42);
+  Status committed = versions.Commit(/*epoch=*/3);
+  EXPECT_TRUE(committed.ok()) << committed.ToString();
+  EXPECT_EQ(versions.Pin()->epoch, 3u);
+  EXPECT_EQ(versions.Pin()->slots[3], 42u);
+  EXPECT_GT(versions.limbo_size(), 0u);
+  EXPECT_GT(deferred.value(), deferred_before);
+
+  // With the faults cleared, the next flush (reclaim, write back, sync)
+  // frees the deferred pages.
+  env.InjectWriteFaults(0);
+  ASSERT_TRUE(versions.ReclaimEligible().ok());
+  ASSERT_TRUE(pool.FlushAll().ok());
+  ASSERT_TRUE((*pager)->Sync().ok());
+  EXPECT_EQ(versions.limbo_size(), 0u);
 }
 
 }  // namespace

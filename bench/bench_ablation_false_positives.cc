@@ -24,7 +24,9 @@ xml::Document MakeWarehouse(Random* rng, int id) {
   static const char* kColors[] = {"red", "green", "blue"};
   static const char* kSizes[] = {"small", "large"};
   xml::Document doc = xml::Document::WithRoot("warehouse");
-  doc.root()->AddAttribute("id", "w" + std::to_string(id));
+  std::string warehouse_id = "w";
+  warehouse_id += std::to_string(id);
+  doc.root()->AddAttribute("id", warehouse_id);
   const int sections = 2 + static_cast<int>(rng->Uniform(3));
   for (int s = 0; s < sections; ++s) {
     xml::Node* section = doc.root()->AddElement("section");

@@ -62,7 +62,8 @@ constexpr int kWindowMs = 300;
 constexpr uint64_t kSeedBase = 0x5eed5eed;
 
 std::string UniqueDoc(uint64_t i) {
-  const std::string tag = "u" + std::to_string(i);
+  std::string tag = "u";
+  tag += std::to_string(i);
   return "<doc><" + tag + "><leaf>text" + std::to_string(i) + "</leaf></" +
          tag + "></doc>";
 }

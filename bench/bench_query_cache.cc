@@ -53,7 +53,8 @@ Corpus BuildCorpus(int docs) {
   corpus.index = std::move(created).value();
   corpus.docs = docs;
   for (int i = 1; i <= docs; ++i) {
-    const std::string tag = "u" + std::to_string(i);
+    std::string tag = "u";
+    tag += std::to_string(i);
     const std::string text = "<doc><" + tag + "><leaf>text" +
                              std::to_string(i) + "</leaf></" + tag +
                              "></doc>";

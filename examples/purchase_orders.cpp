@@ -26,7 +26,9 @@ Document MakePurchase(vist::Random* rng, int id) {
   static const char* kMakers[] = {"ibm", "intel", "amd", "panasia"};
 
   Document doc = Document::WithRoot("purchase");
-  doc.root()->AddAttribute("ID", "p" + std::to_string(id));
+  std::string purchase_id = "p";
+  purchase_id += std::to_string(id);
+  doc.root()->AddAttribute("ID", purchase_id);
   Node* seller = doc.root()->AddElement("seller");
   seller->AddAttribute("name", kSellers[rng->Uniform(4)]);
   seller->AddAttribute("location", kCities[rng->Uniform(4)]);

@@ -18,10 +18,11 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# Release (-O3) build of the whole tree, so warnings that only the
-# optimizer raises (GCC's -Wrestrict, -Wmaybe-uninitialized) cannot break
-# the -Werror library build unnoticed.
-cmake -B "$BUILD_DIR-release" -S . -DCMAKE_BUILD_TYPE=Release
+# Release (-O3) build of the whole tree with every warning an error
+# (VIST_WERROR), so warnings that only the optimizer raises (GCC's
+# -Wrestrict, -Wmaybe-uninitialized) cannot creep into the library, tests,
+# benches or examples unnoticed.
+cmake -B "$BUILD_DIR-release" -S . -DCMAKE_BUILD_TYPE=Release -DVIST_WERROR=ON
 cmake --build "$BUILD_DIR-release" -j "$(nproc)"
 
 # Debug (-O0) build and test run, so every CMake configuration is built

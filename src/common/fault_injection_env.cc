@@ -114,8 +114,12 @@ class FaultInjectionFile : public File {
   Status WriteCommon(uint64_t offset, const char* buf, size_t n) {
     VIST_RETURN_IF_ERROR(env_->CheckAlive());
     if (env_->write_faults_ != 0) {
-      if (env_->write_faults_ > 0) --env_->write_faults_;
-      return Transient("write");
+      if (env_->writes_before_faults_ > 0) {
+        --env_->writes_before_faults_;
+      } else {
+        if (env_->write_faults_ > 0) --env_->write_faults_;
+        return Transient("write");
+      }
     }
     const uint64_t index = env_->mutations_++;
     Trace(index, "write", path_);

@@ -24,9 +24,10 @@
 //     in a dying process. The files keep their at-crash state, which models
 //     a process crash; call SimulatePowerLoss() afterwards to model a power
 //     cut at the same instant.
-//   * InjectReadFaults(n) / InjectWriteFaults(n): the next n reads/writes
-//     return a transient IOError (n < 0: every one fails until reset with
-//     0) — exercises retry paths.
+//   * InjectReadFaults(n) / InjectWriteFaults(n, after): the next n
+//     reads/writes (writes: once `after` more have succeeded) return a
+//     transient IOError (n < 0: every one fails until reset with 0) —
+//     exercises retry paths.
 //   * FlipBitAtMutation(k, offset, mask): the k-th mutation, if a write,
 //     has `buf[offset] ^= mask` applied first — models bit rot at write
 //     time for checksum tests.
@@ -78,9 +79,14 @@ class FaultInjectionEnv : public Env {
   // --- error injection ---
 
   /// The next `n` reads (writes) fail with a transient IOError; n < 0
-  /// makes every one fail until reset with 0.
+  /// makes every one fail until reset with 0. For writes, `after` further
+  /// writes succeed before the faults start, which aims them at one write
+  /// in the middle of a sequence.
   void InjectReadFaults(int n) { read_faults_ = n; }
-  void InjectWriteFaults(int n) { write_faults_ = n; }
+  void InjectWriteFaults(int n, int after = 0) {
+    write_faults_ = n;
+    writes_before_faults_ = after;
+  }
 
   /// XORs `mask` into byte `offset` of the write performed by the
   /// `index`-th mutation (no effect if that mutation is not a write).
@@ -109,6 +115,7 @@ class FaultInjectionEnv : public Env {
   bool crashed_ = false;
   int read_faults_ = 0;
   int write_faults_ = 0;
+  int writes_before_faults_ = 0;
   int64_t flip_at_ = -1;
   uint64_t flip_offset_ = 0;
   uint8_t flip_mask_ = 0;

@@ -447,6 +447,14 @@ Result<PageId> Pager::AllocatePage() {
   VIST_RETURN_IF_ERROR(EnsureBatch());
   header_dirty_ = true;
   PagerMetrics::Get().pages_allocated.Increment();
+  if (!pending_free_.empty()) {
+    // Freed since the last Sync: its link was never written, so there is
+    // nothing to read.
+    PagerMetrics::Get().freelist_reuses.Increment();
+    const PageId id = pending_free_.back();
+    pending_free_.pop_back();
+    return id;
+  }
   if (freelist_head_ != kInvalidPageId) {
     PagerMetrics::Get().freelist_reuses.Increment();
     PageId id = freelist_head_;
@@ -485,12 +493,27 @@ Status Pager::FreePage(PageId id) {
     return Status::InvalidArgument("FreePage: page id out of range");
   }
   PagerMetrics::Get().pages_freed.Increment();
-  // Rewrite the whole page (zeros + next pointer) so the freed page keeps
-  // a valid checksum; WritePage journals the pre-image.
+  pending_free_.push_back(id);
+  return Status::OK();
+}
+
+Status Pager::LinkPendingFreePages() {
+  if (pending_free_.empty()) return Status::OK();
+  // Each page is rewritten whole (zeros + next pointer) so it keeps a valid
+  // checksum, and names the page freed just before it; the first one names
+  // the current head. Every link comes from the pre-Sync head, and the
+  // state changes only after all writes succeeded: a Sync that failed
+  // midway and is retried rewrites the same links instead of chaining
+  // pages onto themselves. WritePageLocked journals each pre-image.
   std::vector<char> page(page_size_, 0);
-  EncodeFixed64LE(page.data(), freelist_head_);
-  VIST_RETURN_IF_ERROR(WritePageLocked(id, page.data()));
-  freelist_head_ = id;
+  PageId next = freelist_head_;
+  for (const PageId id : pending_free_) {
+    EncodeFixed64LE(page.data(), next);
+    VIST_RETURN_IF_ERROR(WritePageLocked(id, page.data()));
+    next = id;
+  }
+  freelist_head_ = next;
+  pending_free_.clear();
   header_dirty_ = true;
   return Status::OK();
 }
@@ -516,6 +539,7 @@ Status Pager::SetMetaSlot(int slot, PageId id) {
 Status Pager::Sync() {
   MutexLock lock(mu_);
   PagerMetrics::Get().syncs.Increment();
+  VIST_RETURN_IF_ERROR(LinkPendingFreePages());
   if (header_dirty_) {
     // The header is a committed page: under kPowerLoss its pre-image (in
     // the journal header) must be durable before the overwrite.
@@ -543,6 +567,7 @@ void Pager::SimulateCrashForTesting() {
   crashed_ = true;
   file_.reset();
   journal_.reset();
+  pending_free_.clear();
   // The journal file stays on disk: reopening the path must roll back.
 }
 

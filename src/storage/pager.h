@@ -15,11 +15,17 @@
 // usable_page_size() == page_size() - kPageTrailerSize bytes per page.
 //
 // Freed pages are chained into a freelist through their first 8 bytes, so
-// space is reused before the file grows. All I/O goes through a vist::Env
-// (common/env.h), which is how the fault-injection tests drive every
-// recovery path; transient I/O errors are retried a few times
-// (`storage.io_retries`) before surfacing. The pager performs raw
-// positional I/O; caching and pinning live in BufferPool.
+// space is reused before the file grows. A page freed since the last Sync()
+// is only remembered in memory (a LIFO stack that AllocatePage pops before
+// the on-disk chain); Sync() writes the links of the pages still free, so
+// freeing and reusing a page between syncs costs no I/O. The chain on disk
+// reads last freed -> ... -> first freed -> previous head, the same order
+// (and the same page bytes) as writing each link at free time would give.
+//
+// All I/O goes through a vist::Env (common/env.h), which is how the
+// fault-injection tests drive every recovery path; transient I/O errors are
+// retried a few times (`storage.io_retries`) before surfacing. The pager
+// performs raw positional I/O; caching and pinning live in BufferPool.
 //
 // Crash safety (SQLite-style undo journal): the first mutation after open
 // or commit starts a batch; the pre-image of every page overwritten during
@@ -55,6 +61,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/env.h"
 #include "common/mutex.h"
@@ -132,10 +139,14 @@ class Pager {
   /// stamped by the pager, so the caller's trailer bytes are ignored.
   Status WritePage(PageId id, const char* buf) VIST_EXCLUDES(mu_);
 
-  /// Returns a fresh page id, reusing a freed page when available. The
-  /// page's previous contents are unspecified; callers initialize it.
+  /// Returns a fresh page id, reusing a freed page when available: the
+  /// last page freed since the last Sync() (no I/O), else the head of the
+  /// on-disk chain (one checksummed read), else a new page at the end of
+  /// the file. The page's previous contents are unspecified; callers
+  /// initialize it.
   Result<PageId> AllocatePage() VIST_EXCLUDES(mu_);
-  /// Returns page `id` to the freelist.
+  /// Returns page `id` to the freelist. Does no I/O: the page's link is
+  /// written by the next Sync(), and only if the page is still free then.
   Status FreePage(PageId id) VIST_EXCLUDES(mu_);
 
   /// User metadata slots (persisted in the header on Sync/close). A failed
@@ -154,8 +165,10 @@ class Pager {
   uint64_t page_count() const {
     return page_count_.load(std::memory_order_acquire);
   }
-  /// Head of the free-page chain (kInvalidPageId when empty); exposed for
-  /// the offline checker's freelist walk.
+  /// Head of the on-disk free-page chain (kInvalidPageId when empty) as of
+  /// the last Sync(), less any pages reused from it since; pages freed
+  /// since the last Sync() are not linked in yet. Exposed for the offline
+  /// checker's freelist walk, which opens the file fresh.
   PageId freelist_head() const VIST_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return freelist_head_;
@@ -163,9 +176,11 @@ class Pager {
 
   DurabilityLevel durability() const { return durability_; }
 
-  /// Commits the current batch: flushes the header, fdatasyncs the file,
+  /// Commits the current batch: links the pages freed since the last Sync
+  /// into the on-disk freelist, flushes the header, fdatasyncs the file,
   /// and discards the rollback journal. State as of this call survives a
-  /// crash (of the kind the durability level covers).
+  /// crash (of the kind the durability level covers). A failed Sync leaves
+  /// the in-memory freelist as it was, so it can simply be retried.
   Status Sync() VIST_EXCLUDES(mu_);
 
   /// Test hook: drops the file handles without committing, as a crashed
@@ -180,10 +195,13 @@ class Pager {
   Status WriteHeader() VIST_REQUIRES(mu_);
   Status ReadHeader() VIST_REQUIRES(mu_);
 
-  /// WritePage body; mu_ must be held (AllocatePage/FreePage write pages
+  /// WritePage body; mu_ must be held (AllocatePage and Sync write pages
   /// while already holding the mutex, so the public entry point can't be
   /// reused there).
   Status WritePageLocked(PageId id, const char* buf) VIST_REQUIRES(mu_);
+  /// Sync's first step: writes the link of every page in pending_free_ and
+  /// moves them onto the on-disk chain.
+  Status LinkPendingFreePages() VIST_REQUIRES(mu_);
 
   /// Starts a batch if none is active (snapshot header, create journal).
   Status EnsureBatch() VIST_REQUIRES(mu_);
@@ -213,6 +231,9 @@ class Pager {
   mutable Mutex mu_{LockRank::kPagerMutation};
   std::atomic<uint64_t> page_count_{1};  // header page
   PageId freelist_head_ VIST_GUARDED_BY(mu_) = kInvalidPageId;
+  // Pages freed since the last Sync, in free order (back = last freed);
+  // none of them is on the on-disk chain yet.
+  std::vector<PageId> pending_free_ VIST_GUARDED_BY(mu_);
   PageId meta_slots_[kNumMetaSlots] VIST_GUARDED_BY(mu_) = {};
   bool header_dirty_ VIST_GUARDED_BY(mu_) = false;
   bool crashed_ VIST_GUARDED_BY(mu_) = false;

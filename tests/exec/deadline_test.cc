@@ -29,7 +29,8 @@ static_assert(kOvershootBudget >= DeadlineChecker::kCheckInterval);
 // Each doc gets a distinct branch tag, so the branching query below fans
 // out across many index-key ranges in every engine.
 std::string Doc(uint64_t i) {
-  const std::string tag = "t" + std::to_string(i);
+  std::string tag = "t";
+  tag += std::to_string(i);
   return "<doc><" + tag + "><b>v" + std::to_string(i) + "</b></" + tag +
          "></doc>";
 }

@@ -49,8 +49,15 @@ constexpr int kDeletesPerEpoch = 5;
 constexpr size_t kTagPool = 24;
 constexpr size_t kValuePool = 8;
 
-std::string Tag(size_t i) { return "a" + std::to_string(i); }
-std::string Value(size_t i) { return "v" + std::to_string(i); }
+// "<letter><i>", built by appending (GCC 12's -O3 -Wrestrict misfires on
+// `"literal" + std::string` temporaries).
+std::string Numbered(char letter, size_t i) {
+  std::string out(1, letter);
+  out += std::to_string(i);
+  return out;
+}
+std::string Tag(size_t i) { return Numbered('a', i); }
+std::string Value(size_t i) { return Numbered('v', i); }
 
 // One generated document: a random tree over distinct tags (each tag at
 // most once — see the header comment), with value leaves from a shared
@@ -75,10 +82,14 @@ std::string GenDocument(Random* rng) {
   }
   std::string xml;
   std::function<void(size_t)> emit = [&](size_t i) {
-    xml += "<" + Tag(elems[i].tag) + ">";
+    xml += '<';
+    xml += Tag(elems[i].tag);
+    xml += '>';
     if (elems[i].value) xml += Value(*elems[i].value);
     for (size_t child : elems[i].children) emit(child);
-    xml += "</" + Tag(elems[i].tag) + ">";
+    xml += "</";
+    xml += Tag(elems[i].tag);
+    xml += '>';
   };
   emit(0);
   return xml;
@@ -105,12 +116,19 @@ std::string GenQuery(Random* rng) {
     }
   }
   if (rng->Bernoulli(0.25)) {
-    query += "[" + Tag(rng->Uniform(kTagPool));
-    if (rng->Bernoulli(0.5)) query += "='" + Value(rng->Uniform(kValuePool)) + "'";
-    query += "]";
+    query += '[';
+    query += Tag(rng->Uniform(kTagPool));
+    if (rng->Bernoulli(0.5)) {
+      query += "='";
+      query += Value(rng->Uniform(kValuePool));
+      query += '\'';
+    }
+    query += ']';
   }
   if (rng->Bernoulli(0.4)) {
-    query += "[text()='" + Value(rng->Uniform(kValuePool)) + "']";
+    query += "[text()='";
+    query += Value(rng->Uniform(kValuePool));
+    query += "']";
   }
   return query;
 }

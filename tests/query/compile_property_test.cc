@@ -26,7 +26,9 @@ TEST_P(CompilePropertyTest, TreeAndRenderedPathCompileIdentically) {
   // Intern the generator's vocabulary.
   SymbolTable symtab;
   for (int i = 0; i < options.fanout; ++i) {
-    symtab.Intern("e" + std::to_string(i));
+    std::string name = "e";
+    name += std::to_string(i);
+    symtab.Intern(name);
   }
 
   for (int trial = 0; trial < 40; ++trial) {

@@ -43,7 +43,8 @@ namespace server {
 namespace {
 
 std::string ChaosDoc(uint64_t i) {
-  const std::string tag = "c" + std::to_string(i);
+  std::string tag = "c";
+  tag += std::to_string(i);
   return "<doc><" + tag + "><leaf>v" + std::to_string(i) + "</leaf></" + tag +
          "></doc>";
 }

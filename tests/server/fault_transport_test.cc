@@ -33,7 +33,8 @@ namespace server {
 namespace {
 
 std::string UniqueDoc(uint64_t i) {
-  const std::string tag = "u" + std::to_string(i);
+  std::string tag = "u";
+  tag += std::to_string(i);
   return "<doc><" + tag + "><leaf>text" + std::to_string(i) + "</leaf></" +
          tag + "></doc>";
 }

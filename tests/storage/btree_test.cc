@@ -12,6 +12,14 @@
 namespace vist {
 namespace {
 
+// "<letter><n>", built by appending (GCC 12's -O3 -Wrestrict misfires on
+// `"literal" + std::string` temporaries).
+std::string Numbered(char letter, int n) {
+  std::string out(1, letter);
+  out += std::to_string(n);
+  return out;
+}
+
 // The fixture keeps one write transaction open for the whole test body
 // (writer-side Put/Get/Delete/NewIterator all operate on the working
 // root); Reopen() commits it so the root persists across the cycle.
@@ -115,7 +123,7 @@ TEST_F(BTreeTest, ManyInsertionsSplitAndStaySorted) {
   for (int i = 0; i < kN; ++i) {
     std::string key;
     PutFixed32BE(&key, static_cast<uint32_t>((i * 2654435761u)));  // shuffled
-    ASSERT_TRUE(tree_->Put(key, "v" + std::to_string(i)).ok()) << i;
+    ASSERT_TRUE(tree_->Put(key, Numbered('v', i)).ok()) << i;
   }
   auto count = tree_->CountEntries();
   ASSERT_TRUE(count.ok());
@@ -215,11 +223,11 @@ TEST_F(BTreeTest, DeleteRemovesAndCompactsTree) {
 
 TEST_F(BTreeTest, DeleteInterleavedWithScan) {
   for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(tree_->Put("k" + std::to_string(10000 + i), "v").ok());
+    ASSERT_TRUE(tree_->Put(Numbered('k', 10000 + i), "v").ok());
   }
   // Delete odd keys.
   for (int i = 1; i < 1000; i += 2) {
-    ASSERT_TRUE(tree_->Delete("k" + std::to_string(10000 + i)).ok());
+    ASSERT_TRUE(tree_->Delete(Numbered('k', 10000 + i)).ok());
   }
   auto it = tree_->NewIterator();
   int n = 0;

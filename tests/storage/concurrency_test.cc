@@ -237,6 +237,11 @@ TEST_F(StorageConcurrencyTest, ParallelBTreeReadersSeeEveryKey) {
     snprintf(buf, sizeof(buf), "key%06d", i);
     return std::string(buf);
   };
+  auto value_of = [](int i) {
+    std::string value = "v";
+    value += std::to_string(i);
+    return value;
+  };
   // Small pool: the build leaves dirty pages that reader-triggered
   // evictions write back from reader threads.
   BufferPool pool(pager_.get(), 64);
@@ -246,7 +251,7 @@ TEST_F(StorageConcurrencyTest, ParallelBTreeReadersSeeEveryKey) {
   auto tree = BTree::Create(pager_.get(), &pool, &versions, /*meta_slot=*/0);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   for (int i = 0; i < kKeys; ++i) {
-    ASSERT_TRUE((*tree)->Put(key(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE((*tree)->Put(key(i), value_of(i)).ok());
   }
   ASSERT_TRUE(versions.Commit(/*epoch=*/1).ok());
   std::shared_ptr<const Version> pinned = versions.Pin();
@@ -262,7 +267,7 @@ TEST_F(StorageConcurrencyTest, ParallelBTreeReadersSeeEveryKey) {
       for (int i = 0; i < 400; ++i) {
         const int k = static_cast<int>(rng.Next() % kKeys);
         auto value = view.Get(key(k));
-        if (!value.ok() || *value != "v" + std::to_string(k)) {
+        if (!value.ok() || *value != value_of(k)) {
           bad.fetch_add(1);
           return;
         }

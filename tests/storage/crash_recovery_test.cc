@@ -179,15 +179,18 @@ TEST_F(CrashRecoveryTest, BTreeSurvivesCrashAtRandomPoints) {
     // Mutate; keep a tentative model.
     std::map<std::string, std::string> tentative = committed_model;
     for (int i = 0; i < 200; ++i) {
-      std::string key = "k" + std::to_string(rng.Uniform(500));
+      std::string key = "k";
+      key += std::to_string(rng.Uniform(500));
       if (rng.Bernoulli(0.25)) {
         Status s = (*tree)->Delete(key);
         if (tentative.erase(key) > 0) {
           ASSERT_TRUE(s.ok());
         }
       } else {
-        std::string value = "v" + std::to_string(round) + "_" +
-                            std::to_string(i);
+        std::string value = "v";
+        value += std::to_string(round);
+        value += '_';
+        value += std::to_string(i);
         ASSERT_TRUE((*tree)->Put(key, value).ok());
         tentative[key] = value;
       }

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,8 @@
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
 #include "storage/version.h"
+
+#include "freelist_walk.h"
 
 namespace vist {
 namespace {
@@ -302,16 +305,64 @@ TEST_F(FaultInjectionTest, FailedAllocationDoesNotLeakAPage) {
   ASSERT_TRUE((*pager)->Sync().ok());
 }
 
+// Sync links the pages freed since the last Sync into the on-disk chain.
+// When one of those link writes fails, the in-memory freelist must stay as
+// it was so that a retried Sync writes the same chain: no page may end up
+// linked to itself (a cycle) or dropped from the chain (a leak), and the
+// reopened file hands the pages back in the same LIFO order.
+TEST_F(FaultInjectionTest, FailedSyncLinkWriteIsSafeToRetry) {
+  FaultInjectionEnv env;
+  PagerOptions opts;
+  opts.env = &env;
+  std::vector<PageId> pages;
+  {
+    auto pager = Pager::Open(path_, opts);
+    ASSERT_TRUE(pager.ok());
+    for (int i = 0; i < 6; ++i) {
+      auto id = (*pager)->AllocatePage();
+      ASSERT_TRUE(id.ok());
+      pages.push_back(*id);
+    }
+    for (int i : {1, 3, 0, 4}) ASSERT_TRUE((*pager)->FreePage(pages[i]).ok());
+    // The pages are new in this batch, so each link is one page write and
+    // no journal append: the first link write lands, and every attempt at
+    // the second one fails.
+    const uint64_t mutations_before = env.mutation_count();
+    env.InjectWriteFaults(3, /*after=*/1);
+    EXPECT_FALSE((*pager)->Sync().ok());
+    EXPECT_EQ(env.mutation_count() - mutations_before, 1u);
+    env.InjectWriteFaults(0);
+    ASSERT_TRUE((*pager)->Sync().ok());
+  }  // closes the file
+
+  auto pager = Pager::Open(path_, opts);
+  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+  const std::vector<PageId> expected = {pages[4], pages[0], pages[3],
+                                        pages[1]};
+  EXPECT_EQ(WalkFreelist(pager->get()), expected);
+  // No leak: every page is on the chain or one of the two still in use.
+  std::set<PageId> accounted(expected.begin(), expected.end());
+  accounted.insert({pages[2], pages[5]});
+  EXPECT_EQ(accounted.size(), (*pager)->page_count() - 1);
+  for (PageId want : expected) {
+    auto got = (*pager)->AllocatePage();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want);
+  }
+  auto fresh = (*pager)->AllocatePage();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(*fresh, pages.back() + 1);
+}
+
 // Once a commit has published its version the mutation is visible, so the
 // commit must report success even when reclaiming older pages fails
 // afterwards; an error there would invite a client to retry (and
 // duplicate) a write that already happened. The unfreed pages stay in
-// limbo and the next flush-time reclaim pass frees them.
+// limbo and the next flush-time reclaim pass frees them. The reclaim is
+// made to fail by a reader's pool pin on the retired page, which
+// BufferPool::Free refuses.
 TEST_F(FaultInjectionTest, PublishedCommitSucceedsWhenReclaimFails) {
-  FaultInjectionEnv env;
-  PagerOptions opts;
-  opts.env = &env;
-  auto pager = Pager::Open(path_, opts);
+  auto pager = Pager::Open(path_, PagerOptions());
   ASSERT_TRUE(pager.ok());
   BufferPool pool(pager->get(), 64);
   VersionManager versions(pager->get(), &pool);
@@ -328,16 +379,18 @@ TEST_F(FaultInjectionTest, PublishedCommitSucceedsWhenReclaimFails) {
 
   // Version 2 shadows the published leaf. The commit's own reclaim pass
   // still pins version 1, so the retired leaf waits in limbo.
+  const PageId retired_leaf = versions.Pin()->slots[0];
   versions.BeginWrite();
   ASSERT_TRUE((*tree)->Put("k", "v2").ok());
   ASSERT_TRUE(versions.Commit(/*epoch=*/2).ok());
   ASSERT_GT(versions.limbo_size(), 0u);
 
-  // Version 3 only changes a meta slot (the batch is already open, so its
-  // install does no I/O); freeing the limbo page after the install fails.
+  // Version 3 only changes a meta slot; freeing the limbo page after the
+  // install fails because the page is still pinned in the pool.
   obs::Counter& deferred = obs::GetCounter("storage.mvcc.reclaim_deferred");
   const uint64_t deferred_before = deferred.value();
-  env.InjectWriteFaults(-1);
+  auto held = pool.Fetch(retired_leaf);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
   versions.BeginWrite();
   versions.SetWorkingSlot(3, 42);
   Status committed = versions.Commit(/*epoch=*/3);
@@ -347,9 +400,9 @@ TEST_F(FaultInjectionTest, PublishedCommitSucceedsWhenReclaimFails) {
   EXPECT_GT(versions.limbo_size(), 0u);
   EXPECT_GT(deferred.value(), deferred_before);
 
-  // With the faults cleared, the next flush (reclaim, write back, sync)
+  // With the pin released, the next flush (reclaim, write back, sync)
   // frees the deferred pages.
-  env.InjectWriteFaults(0);
+  *held = PageRef();
   ASSERT_TRUE(versions.ReclaimEligible().ok());
   ASSERT_TRUE(pool.FlushAll().ok());
   ASSERT_TRUE((*pager)->Sync().ok());

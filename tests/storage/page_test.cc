@@ -10,6 +10,14 @@ namespace {
 
 constexpr uint32_t kPageSize = 4096;
 
+// "<letter><n>", built by appending (GCC 12's -O3 -Wrestrict misfires on
+// `"literal" + std::string` temporaries).
+std::string Numbered(char letter, int n) {
+  std::string out(1, letter);
+  out += std::to_string(n);
+  return out;
+}
+
 class PageTest : public ::testing::Test {
  protected:
   PageTest() : buf_(kPageSize, 0), page_(buf_.data(), kPageSize) {}
@@ -125,7 +133,7 @@ TEST_F(PageTest, SiblingPointersPersistAcrossInserts) {
   page_.set_next(5);
   page_.set_prev(3);
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(page_.InsertLeaf(i, "k" + std::to_string(100 + i), "v"));
+    ASSERT_TRUE(page_.InsertLeaf(i, Numbered('k', 100 + i), "v"));
   }
   EXPECT_EQ(page_.next(), 5u);
   EXPECT_EQ(page_.prev(), 3u);
@@ -135,7 +143,7 @@ TEST_F(PageTest, ValidateAcceptsWellFormedPages) {
   page_.Init(kLeafPage);
   EXPECT_TRUE(page_.Validate());
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(page_.InsertLeaf(i, "k" + std::to_string(100 + i), "value"));
+    ASSERT_TRUE(page_.InsertLeaf(i, Numbered('k', 100 + i), "value"));
   }
   EXPECT_TRUE(page_.Validate());
   page_.Remove(10);
@@ -152,7 +160,7 @@ TEST_F(PageTest, ValidateAcceptsWellFormedPages) {
 TEST_F(PageTest, ValidateRejectsCorruption) {
   page_.Init(kLeafPage);
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(page_.InsertLeaf(i, "k" + std::to_string(100 + i), "value"));
+    ASSERT_TRUE(page_.InsertLeaf(i, Numbered('k', 100 + i), "value"));
   }
   // Bad type byte.
   {

@@ -25,7 +25,8 @@ namespace vist {
 namespace {
 
 std::string DocText(int i) {
-  const std::string tag = "u" + std::to_string(i);
+  std::string tag = "u";
+  tag += std::to_string(i);
   return "<doc><" + tag + ">t</" + tag + "></doc>";
 }
 

@@ -218,7 +218,8 @@ TEST_F(ConcurrentQueryTest, FsckPassesAfterReaderSideEvictionWriteback) {
 
   // Unique per-document tags fan the entry tree out well past the pool.
   auto unique_doc = [](uint64_t i) {
-    const std::string tag = "u" + std::to_string(i);
+    std::string tag = "u";
+    tag += std::to_string(i);
     return "<doc><" + tag + "><leaf>text" + std::to_string(i) + "</leaf></" +
            tag + "></doc>";
   };

@@ -55,7 +55,8 @@ class FsckTest : public ::testing::Test {
   }
 
   static std::string DocText(int i) {
-    const std::string tag = "u" + std::to_string(i);
+    std::string tag = "u";
+    tag += std::to_string(i);
     return "<doc><" + tag + "><leaf>text" + std::to_string(i) + "</leaf></" +
            tag + "></doc>";
   }

@@ -187,7 +187,8 @@ TEST_F(StressTest, FsckCleanAfterReclamationChurn) {
   std::unique_ptr<VistIndex> index = std::move(created).value();
 
   auto unique_doc = [](uint64_t i) {
-    const std::string tag = "u" + std::to_string(i);
+    std::string tag = "u";
+    tag += std::to_string(i);
     return "<doc><" + tag + "><leaf>text" + std::to_string(i) + "</leaf></" +
            tag + "></doc>";
   };

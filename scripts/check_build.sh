@@ -7,7 +7,8 @@
 # fault-tolerance surface, TSan over the concurrent read path).
 # VIST_SKIP_STATIC=1 skips the static gate; VIST_SKIP_SANITIZERS=1 skips the
 # sanitizer passes. The last lines name every gate that was skipped, and
-# why.
+# why; the very last one reports the tracked code size
+# ("LINES: src=<n> tests=<n> bench=<n>").
 # Usage: scripts/check_build.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -97,3 +98,11 @@ else
     echo "check_build.sh: SKIPPED: $gate"
   done
 fi
+
+# Tracked code size: lines of C++ (*.h, *.cc) under each tree.
+count_lines() {
+  find "$1" -type f \( -name '*.h' -o -name '*.cc' \) -print0 |
+    xargs -0 cat | wc -l
+}
+echo "LINES: src=$(count_lines src) tests=$(count_lines tests)" \
+  "bench=$(count_lines bench)"

@@ -313,13 +313,6 @@ Result<std::vector<NodeIndex::Region>> NodeIndex::EvalStep(
   return candidates;
 }
 
-Result<std::vector<uint64_t>> NodeIndex::Query(std::string_view path,
-                                               const QueryOptions& options) {
-  VIST_ASSIGN_OR_RETURN(std::shared_ptr<const QueryPlan> plan,
-                        Prepare(path, options));
-  return QueryWithPlan(*plan, options);
-}
-
 Result<std::shared_ptr<const QueryPlan>> NodeIndex::Prepare(
     std::string_view path, const QueryOptions& /*options*/) {
   // Pure parsing; no index or symbol-table state is read, so no lock.
@@ -352,7 +345,6 @@ Result<std::vector<uint64_t>> NodeIndex::QueryWithPlan(
   DeadlineChecker checker(options.deadline);
   uint64_t query_joins = 0;
   auto result = EvalTree(*snap, node_plan->tree(), &query_joins, &checker);
-  last_query_joins_.store(query_joins, std::memory_order_relaxed);
   joins.Increment(query_joins);
   if (profile != nullptr) {
     profile->joins += query_joins;

@@ -332,13 +332,6 @@ Result<std::vector<uint64_t>> PathIndex::EvalPathPattern(
   return std::vector<uint64_t>(docs.begin(), docs.end());
 }
 
-Result<std::vector<uint64_t>> PathIndex::Query(std::string_view path,
-                                               const QueryOptions& options) {
-  VIST_ASSIGN_OR_RETURN(std::shared_ptr<const QueryPlan> plan,
-                        Prepare(path, options));
-  return QueryWithPlan(*plan, options);
-}
-
 Result<std::shared_ptr<const QueryPlan>> PathIndex::Prepare(
     std::string_view path, const QueryOptions& /*options*/) {
   // Pure compilation against the (borrowed, append-only) symbol table; no
@@ -397,7 +390,6 @@ Result<std::vector<uint64_t>> PathIndex::QueryWithPlan(
     result = EvalLeafPatterns(*snap, path_plan->leaf_paths(), &query_joins,
                               &checker);
   }
-  last_query_joins_.store(query_joins, std::memory_order_relaxed);
   joins.Increment(query_joins);
   if (profile != nullptr) {
     profile->joins += query_joins;

@@ -106,12 +106,6 @@ class PathIndex : public QueryableIndex {
   /// removal; the extra removals are not errors.
   Status DeleteSequence(const Sequence& sequence, uint64_t doc_id);
 
-  /// Evaluates a path expression; returns sorted matching doc ids. A path
-  /// string equal to a registered refined path is answered from its
-  /// posting list with zero joins.
-  Result<std::vector<uint64_t>> Query(std::string_view path,
-                                      const QueryOptions& options = {}) override;
-
   /// Compiles a path expression into its root-to-leaf path patterns.
   /// Plans that met a name the (borrowed) symbol table does not know are
   /// not cacheable: another engine sharing the table may intern it later.
@@ -122,7 +116,9 @@ class PathIndex : public QueryableIndex {
       std::string_view path, const QueryOptions& options = {}) override;
 
   /// Executes a plan previously produced by this index's Prepare
-  /// (InvalidArgument for any other plan).
+  /// (InvalidArgument for any other plan). A plan whose path string equals
+  /// a registered refined path is answered from its posting list with
+  /// zero joins.
   Result<std::vector<uint64_t>> QueryWithPlan(
       const QueryPlan& plan, const QueryOptions& options = {}) override;
 
@@ -140,14 +136,6 @@ class PathIndex : public QueryableIndex {
   /// maintenance-cost metric).
   uint64_t refined_maintenance_checks() const {
     return refined_maintenance_checks_.load(std::memory_order_relaxed);
-  }
-
-  /// Number of join (set-intersection) operations the last query used —
-  /// the cost metric the paper's comparison is about. With concurrent
-  /// queries "last" means the most recently finished; per-query numbers
-  /// come from the QueryProfile, whose joins field is attributed exactly.
-  uint64_t last_query_joins() const {
-    return last_query_joins_.load(std::memory_order_relaxed);
   }
 
   uint64_t size_bytes() const { return file_->size_bytes(); }
@@ -193,7 +181,6 @@ class PathIndex : public QueryableIndex {
   // Declared before tree_ (destroyed after it): the tree points into it.
   std::unique_ptr<TreeFile> file_;
   std::unique_ptr<BTree> tree_;
-  std::atomic<uint64_t> last_query_joins_{0};
 
   /// Copy-on-write refined-path list: writers replace the whole vector
   /// under mu_; readers (and snapshots) grab the current one lock-free.

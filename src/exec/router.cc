@@ -257,13 +257,6 @@ Result<std::shared_ptr<const Snapshot>> Router::GetSnapshot() {
       snapshot_.Load());
 }
 
-Result<std::vector<uint64_t>> Router::Query(std::string_view path,
-                                            const QueryOptions& options) {
-  VIST_ASSIGN_OR_RETURN(std::shared_ptr<const QueryPlan> plan,
-                        Prepare(path, options));
-  return QueryWithPlan(*plan, options);
-}
-
 Result<std::shared_ptr<const QueryPlan>> Router::Prepare(
     std::string_view path, const QueryOptions& options) {
   // Metric reference: docs/OBSERVABILITY.md (exec section).

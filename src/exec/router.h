@@ -117,19 +117,16 @@ class Router : public QueryableIndex {
   /// all three engines.
   Status DeleteDocument(const xml::Node& root, uint64_t doc_id);
 
-  /// Evaluates `path` on the predicted-cheapest engine; returns sorted
-  /// matching doc ids, byte-identical to what any single engine returns.
-  /// An engine answering NotSupported (ViST's permutation-expansion cap)
-  /// fails over to the next-cheapest engine (`router.failovers`).
-  Result<std::vector<uint64_t>> Query(
-      std::string_view path, const QueryOptions& options = {}) override;
-
   /// Compiles `path` on every engine and bundles the plans with the
   /// extracted features. The routing decision is NOT baked in: each
   /// execution re-picks, so a cached plan keeps benefiting from feedback.
   Result<std::shared_ptr<const QueryPlan>> Prepare(
       std::string_view path, const QueryOptions& options = {}) override;
 
+  /// Executes the plan on the predicted-cheapest engine; returns sorted
+  /// matching doc ids, byte-identical to what any single engine returns.
+  /// An engine answering NotSupported (ViST's permutation-expansion cap)
+  /// fails over to the next-cheapest engine (`router.failovers`).
   Result<std::vector<uint64_t>> QueryWithPlan(
       const QueryPlan& plan, const QueryOptions& options = {}) override;
 

@@ -4,8 +4,7 @@
 //   * the pager file header and every page checksum,
 //   * both B+ trees (and the document store, when present): structural
 //     page validity, in-page and cross-page key order against the fence
-//     keys, uniform leaf depth, consistent leaf sibling links, and no page
-//     reachable twice,
+//     keys, uniform leaf depth, and no page reachable twice,
 //   * the freelist: no out-of-range links, no cycles, no page that is both
 //     free and reachable from a tree,
 //   * no leaked pages (every page is either reachable or free),

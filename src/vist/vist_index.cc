@@ -224,33 +224,28 @@ Status VistIndex::WriteRecord(const std::string& entry_key,
   return entry_tree_->Put(entry_key, EncodeNodeRecord(record));
 }
 
-Result<bool> VistIndex::FindImmediateChild(const std::string& dkey,
-                                           const NodeRecord& parent,
-                                           PathEntry* out) {
-  // Immediate children are the contiguous range (dkey ‖ parent.n ‖ *): one
-  // exact seek, independent of how often the D-key occurs elsewhere.
+Status VistIndex::ScanImmediateChildren(
+    const std::string& dkey, uint64_t parent_n,
+    const std::function<bool(PathEntry)>& visit) {
   auto it = entry_tree_->NewIterator();
-  const std::string lo = EncodeEntryKey(dkey, parent.n, 0);
-  it->Seek(lo);
-  if (it->Valid()) {
+  for (it->Seek(EncodeEntryKey(dkey, parent_n, 0));
+       it->Valid() && it->key().StartsWith(dkey); it->Next()) {
     Slice dkey_slice;
-    uint64_t parent_n = 0, n = 0;
-    if (DecodeEntryKey(it->key(), &dkey_slice, &parent_n, &n) &&
-        dkey_slice.size() == dkey.size() && it->key().StartsWith(dkey) &&
-        parent_n == parent.n) {
-      NodeRecord record;
-      if (!DecodeNodeRecord(it->value(), &record)) {
-        return Status::Corruption("malformed node record");
-      }
-      record.n = n;
-      record.parent_n = parent_n;
-      out->key = it->key().ToString();
-      out->record = record;
-      return true;
+    uint64_t key_parent_n = 0, n = 0;
+    if (!DecodeEntryKey(it->key(), &dkey_slice, &key_parent_n, &n) ||
+        dkey_slice.size() != dkey.size() || key_parent_n != parent_n) {
+      break;
     }
+    PathEntry child;
+    if (!DecodeNodeRecord(it->value(), &child.record)) {
+      return Status::Corruption("malformed node record");
+    }
+    child.key = it->key().ToString();
+    child.record.n = n;
+    child.record.parent_n = parent_n;
+    if (!visit(std::move(child))) return Status::OK();
   }
-  VIST_RETURN_IF_ERROR(it->status());
-  return false;
+  return it->status();
 }
 
 std::shared_ptr<const VistSnapshot> VistIndex::PinSnapshot() const {
@@ -281,62 +276,69 @@ Status VistIndex::InsertSequence(const Sequence& sequence, uint64_t doc_id) {
 
 Status VistIndex::InsertSequenceImpl(const Sequence& sequence,
                                      uint64_t doc_id) {
+  VistMetrics::Get().insert_sequences.Increment();
+  obs::ScopedTimer timer(VistMetrics::Get().insert_latency_us);
+  std::vector<PathEntry> path(1);
+  path[0].key = root_key_;
+  VIST_RETURN_IF_ERROR(LoadRootRecord(&path[0].record));
+  auto find_child = [this](const std::string& dkey, uint64_t parent_n,
+                           PathEntry* child)
+                        VIST_REQUIRES(mu_) -> Result<bool> {
+    bool found = false;
+    VIST_RETURN_IF_ERROR(
+        ScanImmediateChildren(dkey, parent_n, [&](PathEntry first) {
+          *child = std::move(first);
+          found = true;
+          return false;
+        }));
+    return found;
+  };
+  VIST_RETURN_IF_ERROR(LabelPath(sequence, find_child, &path));
+  // Commit: persist every record on the final path. Nothing was written
+  // before this point, so allocation failures above leave the index
+  // untouched.
+  for (const PathEntry& entry : path) {
+    VIST_RETURN_IF_ERROR(WriteRecord(entry.key, entry.record));
+  }
+  return docid_tree_->Put(EncodeDocIdKey(path.back().record.n, doc_id),
+                          Slice());
+}
+
+Status VistIndex::LabelPath(const Sequence& sequence,
+                            const ChildLookup& find_child,
+                            std::vector<PathEntry>* path) {
   if (sequence.empty()) {
     return Status::InvalidArgument("cannot index an empty sequence");
   }
-  VistMetrics::Get().insert_sequences.Increment();
-  obs::ScopedTimer timer(VistMetrics::Get().insert_latency_us);
-  std::vector<PathEntry> path;
-  path.emplace_back();
-  path[0].key = root_key_;
-  path[0].symbol = kInvalidSymbol;
-  VIST_RETURN_IF_ERROR(LoadRootRecord(&path[0].record));
-
-  for (size_t i = 0; i < sequence.size(); ++i) {
-    const SequenceElement& elem = sequence[i];
+  for (const SequenceElement& elem : sequence) {
     const std::string dkey = EncodeDKey(elem.symbol, elem.prefix);
+    PathEntry& parent = path->back();
     PathEntry child;
     VIST_ASSIGN_OR_RETURN(bool found,
-                          FindImmediateChild(dkey, path.back().record, &child));
-    if (found) {
-      child.symbol = elem.symbol;
-      path.push_back(std::move(child));
-      continue;
+                          find_child(dkey, parent.record.n, &child));
+    if (!found) {
+      Scope scope = allocator_->AllocateChild(
+          &parent.record, parent.symbol, elem.symbol,
+          static_cast<uint32_t>(elem.prefix.size()));
+      if (!scope.valid()) {
+        VIST_RETURN_IF_ERROR(InsertUnderflowRun(sequence, path));
+        break;
+      }
+      child.key = EncodeEntryKey(dkey, parent.record.n, scope.n);
+      child.record.n = scope.n;
+      child.record.size = scope.size;
+      child.record.parent_n = parent.record.n;
+      allocator_->InitRecord(&child.record);
     }
-    PathEntry& parent = path.back();
-    Scope scope = allocator_->AllocateChild(
-        &parent.record, parent.symbol, elem.symbol,
-        static_cast<uint32_t>(elem.prefix.size()));
-    parent.dirty = true;
-    if (!scope.valid()) {
-      VIST_RETURN_IF_ERROR(InsertUnderflowRun(sequence, &path));
-      break;
-    }
-    PathEntry fresh;
-    fresh.key = EncodeEntryKey(dkey, parent.record.n, scope.n);
-    fresh.symbol = elem.symbol;
-    fresh.record.n = scope.n;
-    fresh.record.size = scope.size;
-    fresh.record.parent_n = parent.record.n;
-    allocator_->InitRecord(&fresh.record);
-    fresh.dirty = true;
-    path.push_back(std::move(fresh));
+    child.symbol = elem.symbol;
+    path->push_back(std::move(child));
   }
-  // Commit: bump refcounts along the final path and persist every new or
-  // mutated record. Nothing was written before this point, so allocation
-  // failures above leave the index untouched.
-  for (PathEntry& entry : path) {
-    ++entry.record.refcount;
-    VIST_RETURN_IF_ERROR(WriteRecord(entry.key, entry.record));
-  }
-  VIST_RETURN_IF_ERROR(docid_tree_->Put(
-      EncodeDocIdKey(path.back().record.n, doc_id), Slice()));
-
   uint64_t depth = max_depth();
   for (const SequenceElement& elem : sequence) {
     depth = std::max<uint64_t>(depth, elem.prefix.size());
   }
   set_max_depth(depth);
+  for (PathEntry& entry : *path) ++entry.record.refcount;
   return Status::OK();
 }
 
@@ -358,7 +360,6 @@ Status VistIndex::InsertUnderflowRun(const Sequence& sequence,
     }
     const uint64_t run_lo = ancestor.record.seq_cursor - run_len;
     ancestor.record.seq_cursor = run_lo;
-    ancestor.dirty = true;
     set_underflow_runs(underflow_runs() + 1);
     VistMetrics::Get().underflow_runs.Increment();
 
@@ -378,7 +379,6 @@ Status VistIndex::InsertUnderflowRun(const Sequence& sequence,
       entry.record.seq_cursor = entry.record.n + entry.record.size;
       entry.key = EncodeEntryKey(EncodeDKey(elem.symbol, elem.prefix),
                                  entry.record.parent_n, entry.record.n);
-      entry.dirty = true;
       path->push_back(std::move(entry));
     }
     return Status::OK();
@@ -399,125 +399,42 @@ Status VistIndex::BulkLoadSequences(
 
 Status VistIndex::BulkLoadSequencesImpl(
     const std::vector<std::pair<uint64_t, Sequence>>& documents) {
-  {
-    NodeRecord root;
-    VIST_RETURN_IF_ERROR(LoadRootRecord(&root));
-    if (root.refcount != 0) {
-      return Status::InvalidArgument("bulk load requires an empty index");
-    }
-  }
-  // Staged virtual suffix tree: entry key -> record. Because immediate
-  // children of a node are a contiguous key range (dkey ‖ parent_n ‖ *),
-  // an ordered map supports the same child lookup the B+ tree does.
+  // Staged virtual suffix tree: entry key -> record, the virtual root
+  // first (its key sorts lowest). Immediate children of a node are a
+  // contiguous key range (dkey ‖ parent_n ‖ *), so the map answers the
+  // same child lookup the B+ tree does.
   std::map<std::string, NodeRecord> staged;
-  std::vector<std::pair<uint64_t, uint64_t>> doc_labels;  // (n, doc_id)
-  NodeRecord root;
+  NodeRecord& root = staged[root_key_];
   VIST_RETURN_IF_ERROR(LoadRootRecord(&root));
-  uint64_t depth = max_depth();
-  uint64_t underflows = underflow_runs();
-
-  // Each document's path holds *copies* of the records it touches and is
-  // committed into `staged` only at the end — identical to the dynamic
-  // insert's deferred writes, so a scope underflow can roll back the
-  // document's own earlier allocations by truncating the path.
-  struct StagedEntry {
-    std::string key;  // empty for the virtual root
-    NodeRecord record;
-    Symbol symbol = kInvalidSymbol;
+  if (root.refcount != 0) {
+    return Status::InvalidArgument("bulk load requires an empty index");
+  }
+  auto find_staged = [&staged](const std::string& dkey, uint64_t parent_n,
+                               PathEntry* child) -> Result<bool> {
+    const std::string lo = EncodeEntryKey(dkey, parent_n, 0);
+    auto it = staged.lower_bound(lo);
+    if (it == staged.end() ||
+        !Slice(it->first).StartsWith(Slice(lo.data(), lo.size() - 8))) {
+      return false;
+    }
+    child->key = it->first;
+    child->record = it->second;
+    return true;
   };
+  std::vector<std::pair<uint64_t, uint64_t>> doc_labels;  // (n, doc_id)
   for (const auto& [doc_id, sequence] : documents) {
-    if (sequence.empty()) {
-      return Status::InvalidArgument("cannot index an empty sequence");
-    }
     VistMetrics::Get().bulk_load_sequences.Increment();
-    std::vector<StagedEntry> path;
-    path.push_back({"", root, kInvalidSymbol});
-    bool done = false;
-    for (size_t i = 0; i < sequence.size() && !done; ++i) {
-      const SequenceElement& elem = sequence[i];
-      const std::string dkey = EncodeDKey(elem.symbol, elem.prefix);
-      StagedEntry& parent = path.back();
-      const std::string child_prefix =
-          EncodeEntryKey(dkey, parent.record.n, 0);
-      auto it = staged.lower_bound(child_prefix);
-      if (it != staged.end() &&
-          Slice(it->first)
-              .StartsWith(Slice(child_prefix.data(),
-                                child_prefix.size() - 8))) {
-        path.push_back({it->first, it->second, elem.symbol});
-        continue;
-      }
-      Scope scope = allocator_->AllocateChild(
-          &parent.record, parent.symbol, elem.symbol,
-          static_cast<uint32_t>(elem.prefix.size()));
-      if (scope.valid()) {
-        StagedEntry fresh;
-        fresh.key = EncodeEntryKey(dkey, parent.record.n, scope.n);
-        fresh.symbol = elem.symbol;
-        fresh.record.n = scope.n;
-        fresh.record.parent_n = parent.record.n;
-        fresh.record.size = scope.size;
-        allocator_->InitRecord(&fresh.record);
-        path.push_back(std::move(fresh));
-        continue;
-      }
-      // Scope underflow: same strategy as InsertUnderflowRun; truncating
-      // the path discards this document's uncommitted tail allocations.
-      bool placed = false;
-      for (size_t j = path.size(); j-- > 0;) {
-        NodeRecord& ancestor = path[j].record;
-        const uint64_t run_len = sequence.size() - j;
-        const uint64_t usable_end = allocator_->UsableEnd(ancestor);
-        if (ancestor.seq_cursor < usable_end + run_len ||
-            ancestor.seq_cursor < run_len) {
-          continue;
-        }
-        const uint64_t run_lo = ancestor.seq_cursor - run_len;
-        ancestor.seq_cursor = run_lo;
-        ++underflows;
-        VistMetrics::Get().underflow_runs.Increment();
-        const uint64_t anchor_n = ancestor.n;
-        path.resize(j + 1);
-        for (uint64_t t = 0; t < run_len; ++t) {
-          const SequenceElement& run_elem = sequence[j + t];
-          StagedEntry entry;
-          entry.symbol = run_elem.symbol;
-          entry.record.n = run_lo + t;
-          entry.record.parent_n = t == 0 ? anchor_n : run_lo + t - 1;
-          entry.record.size = run_len - t;
-          entry.record.next_free = entry.record.n + 1;
-          entry.record.seq_cursor = entry.record.n + entry.record.size;
-          entry.key = EncodeEntryKey(
-              EncodeDKey(run_elem.symbol, run_elem.prefix),
-              entry.record.parent_n, entry.record.n);
-          path.push_back(std::move(entry));
-        }
-        placed = true;
-        break;
-      }
-      if (!placed) {
-        return Status::ScopeOverflow(
-            "no ancestor reserve can hold the remaining elements");
-      }
-      done = true;
-    }
-    // Commit the document into the staging area.
-    for (StagedEntry& entry : path) {
-      ++entry.record.refcount;
-      if (entry.key.empty()) {
-        root = entry.record;
-      } else {
-        staged[entry.key] = entry.record;
-      }
-    }
+    // As in the dynamic insert, the path holds copies until the document
+    // commits into the staging area.
+    std::vector<PathEntry> path(1);
+    path[0].key = root_key_;
+    path[0].record = root;
+    VIST_RETURN_IF_ERROR(LabelPath(sequence, find_staged, &path));
+    for (const PathEntry& entry : path) staged[entry.key] = entry.record;
     doc_labels.emplace_back(path.back().record.n, doc_id);
-    for (const SequenceElement& elem : sequence) {
-      depth = std::max<uint64_t>(depth, elem.prefix.size());
-    }
   }
 
   // Write everything in key order: root record, entries, then doc ids.
-  VIST_RETURN_IF_ERROR(WriteRecord(root_key_, root));
   for (const auto& [key, record] : staged) {
     VIST_RETURN_IF_ERROR(WriteRecord(key, record));
   }
@@ -526,8 +443,6 @@ Status VistIndex::BulkLoadSequencesImpl(
     VIST_RETURN_IF_ERROR(
         docid_tree_->Put(EncodeDocIdKey(n, doc_id), Slice()));
   }
-  set_max_depth(depth);
-  set_underflow_runs(underflows);
   return Status::OK();
 }
 
@@ -568,39 +483,16 @@ Result<bool> VistIndex::TryDelete(const Sequence& sequence, size_t i,
     return true;
   }
   const SequenceElement& elem = sequence[i];
-  const std::string dkey = EncodeDKey(elem.symbol, elem.prefix);
-
   // Collect the candidate children first: scope underflow can duplicate a
   // (symbol, prefix) under one parent, and the doc id lives on only one of
   // the resulting paths.
   std::vector<PathEntry> candidates;
-  {
-    const uint64_t parent_label = path->back().record.n;
-    auto it = entry_tree_->NewIterator();
-    it->Seek(EncodeEntryKey(dkey, parent_label, 0));
-    while (it->Valid() && it->key().StartsWith(dkey)) {
-      Slice dkey_slice;
-      uint64_t parent_n = 0, n = 0;
-      if (!DecodeEntryKey(it->key(), &dkey_slice, &parent_n, &n) ||
-          dkey_slice.size() != dkey.size()) {
-        break;
-      }
-      if (parent_n != parent_label) break;
-      NodeRecord record;
-      if (!DecodeNodeRecord(it->value(), &record)) {
-        return Status::Corruption("malformed node record");
-      }
-      PathEntry candidate;
-      candidate.key = it->key().ToString();
-      candidate.record = record;
-      candidate.record.n = n;
-      candidate.record.parent_n = parent_n;
-      candidate.symbol = elem.symbol;
-      candidates.push_back(std::move(candidate));
-      it->Next();
-    }
-    VIST_RETURN_IF_ERROR(it->status());
-  }
+  VIST_RETURN_IF_ERROR(ScanImmediateChildren(
+      EncodeDKey(elem.symbol, elem.prefix), path->back().record.n,
+      [&candidates](PathEntry child) {
+        candidates.push_back(std::move(child));
+        return true;
+      }));
   for (PathEntry& candidate : candidates) {
     path->push_back(candidate);
     VIST_ASSIGN_OR_RETURN(bool deleted,
@@ -626,10 +518,8 @@ Status VistIndex::DeleteSequenceImpl(const Sequence& sequence,
     return Status::InvalidArgument("cannot delete an empty sequence");
   }
   VistMetrics::Get().delete_sequences.Increment();
-  std::vector<PathEntry> path;
-  path.emplace_back();
+  std::vector<PathEntry> path(1);
   path[0].key = root_key_;
-  path[0].symbol = kInvalidSymbol;
   VIST_RETURN_IF_ERROR(LoadRootRecord(&path[0].record));
   VIST_ASSIGN_OR_RETURN(bool deleted, TryDelete(sequence, 0, doc_id, &path));
   if (!deleted) {
@@ -666,13 +556,6 @@ Result<std::vector<uint64_t>> VistIndex::QueryCompiledImpl(
                        snap.version_->slots[kMaxDepthSlot], collect_doc_ids,
                        checker};
   return MatchCompiledQuery(context, compiled, profile);
-}
-
-Result<std::vector<uint64_t>> VistIndex::Query(std::string_view path,
-                                               const QueryOptions& options) {
-  VIST_ASSIGN_OR_RETURN(std::shared_ptr<const QueryPlan> plan,
-                        Prepare(path, options));
-  return QueryWithPlan(*plan, options);
 }
 
 Result<std::shared_ptr<const QueryPlan>> VistIndex::Prepare(

@@ -31,6 +31,7 @@
 #ifndef VIST_VIST_VIST_INDEX_H_
 #define VIST_VIST_VIST_INDEX_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,11 +137,12 @@ class VistIndex : public QueryableIndex {
   /// Indexes a pre-built sequence (no document store entry).
   Status InsertSequence(const Sequence& sequence, uint64_t doc_id);
 
-  /// Bulk-loads a whole corpus into a still-empty index. Semantically
-  /// identical to inserting each sequence in order (same dynamic labels),
-  /// but entries are staged in memory and written to the B+ trees in key
-  /// order, which packs pages densely and clusters D-key ranges — the
-  /// locality a one-at-a-time build cannot get. Memory: O(total entries).
+  /// Bulk-loads a whole corpus into a still-empty index. Runs the same
+  /// labeling walk as InsertSequence, so the labels are those of inserting
+  /// each sequence in order, but entries are staged in memory and written
+  /// to the B+ trees in key order, which packs pages densely and clusters
+  /// D-key ranges — the locality a one-at-a-time build cannot get.
+  /// Memory: O(total entries).
   /// One copy-on-write transaction: concurrent readers see the empty
   /// index until the load commits, then the full corpus.
   Status BulkLoadSequences(
@@ -149,11 +151,6 @@ class VistIndex : public QueryableIndex {
   /// Removes a document previously inserted with this exact content.
   Status DeleteDocument(const xml::Node& root, uint64_t doc_id);
   Status DeleteSequence(const Sequence& sequence, uint64_t doc_id);
-
-  /// Evaluates a path expression; returns sorted matching doc ids.
-  /// Equivalent to Prepare + QueryWithPlan.
-  Result<std::vector<uint64_t>> Query(std::string_view path,
-                                      const QueryOptions& options = {}) override;
 
   /// Compiles a path expression (parse → query tree → query sequences
   /// against the symbol table) without executing it. The plan is cacheable
@@ -251,13 +248,29 @@ class VistIndex : public QueryableIndex {
     std::string key;  // entry key in the combined tree
     NodeRecord record;
     Symbol symbol = kInvalidSymbol;  // element symbol (root: invalid)
-    bool dirty = false;
   };
 
-  /// Finds the immediate child of `parent` with the given D-key, if any
-  /// (writer-side: reads the working tree during an insert/delete).
-  Result<bool> FindImmediateChild(const std::string& dkey,
-                                  const NodeRecord& parent, PathEntry* out)
+  /// How the labeling walk finds an existing node: the lowest-labeled
+  /// immediate child (dkey ‖ parent_n ‖ *) of node `parent_n`. Fills
+  /// `child`'s key and record only when it returns true.
+  using ChildLookup = std::function<Result<bool>(
+      const std::string& dkey, uint64_t parent_n, PathEntry* child)>;
+
+  /// The §3.4 labeling walk (Algorithm 4) that InsertSequence and
+  /// BulkLoadSequences share. Extends `path`, which holds the virtual root,
+  /// by one node per element: the node `find_child` returns, else a fresh
+  /// scope from the allocator, else (scope underflow) an InsertUnderflowRun
+  /// for the rest of the sequence. Then bumps every path node's refcount.
+  /// Changed records live only in `path` (the caller writes them); the
+  /// max-depth and underflow-run slots are updated in place.
+  Status LabelPath(const Sequence& sequence, const ChildLookup& find_child,
+                   std::vector<PathEntry>* path) VIST_REQUIRES(mu_);
+
+  /// Visits the immediate children of node `parent_n` with D-key `dkey` —
+  /// the contiguous range (dkey ‖ parent_n ‖ *) of the working tree — in
+  /// label order until `visit` returns false: one iterator, one seek.
+  Status ScanImmediateChildren(const std::string& dkey, uint64_t parent_n,
+                               const std::function<bool(PathEntry)>& visit)
       VIST_REQUIRES(mu_);
 
   /// Scope underflow (§3.4.1): labels the remaining elements sequentially

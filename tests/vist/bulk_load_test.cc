@@ -4,6 +4,8 @@
 #include <functional>
 
 #include "common/random.h"
+#include "storage/tree_file.h"
+#include "vist/manifest.h"
 #include "vist/vist_index.h"
 #include "xml/parser.h"
 
@@ -44,41 +46,115 @@ class BulkLoadTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(BulkLoadTest, MatchesDynamicInsertionExactly) {
-  Random rng(321);
-  std::vector<std::string> corpus;
-  for (int i = 0; i < 120; ++i) corpus.push_back(RandomXml(&rng, 4));
+// Every record of a closed index's page file: the combined entry tree
+// (meta slot 0) and the DocId tree (meta slot 1) key by key, plus the
+// max-depth (slot 3) and underflow-run (slot 4) scalars.
+struct IndexImage {
+  std::vector<std::pair<std::string, std::string>> entries;
+  std::vector<std::pair<std::string, std::string>> doc_ids;
+  uint64_t max_depth = 0;
+  uint64_t underflow_runs = 0;
+};
 
-  auto dynamic = VistIndex::Create((dir_ / "dyn").string(), VistOptions());
-  ASSERT_TRUE(dynamic.ok());
-  std::vector<std::pair<uint64_t, Sequence>> sequences;
-  auto bulk = VistIndex::Create((dir_ / "bulk").string(), VistOptions());
-  ASSERT_TRUE(bulk.ok());
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    auto doc = xml::Parse(corpus[i]);
-    ASSERT_TRUE(doc.ok());
-    ASSERT_TRUE((*dynamic)->InsertDocument(*doc->root(), i + 1).ok());
-    sequences.emplace_back(
-        i + 1, BuildSequence(*doc->root(), (*bulk)->symbols()));
+IndexImage ReadIndexImage(const std::string& dir) {
+  IndexImage image;
+  auto file = TreeFile::Open(PageFilePath(dir), PagerOptions(), 256);
+  EXPECT_TRUE(file.ok()) << file.status().ToString();
+  if (!file.ok()) return image;
+  for (auto [slot, records] :
+       {std::pair{0, &image.entries}, std::pair{1, &image.doc_ids}}) {
+    auto tree = (*file)->OpenTree(slot);
+    EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+    if (!tree.ok()) return image;
+    auto it = (*tree)->NewIterator();
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      records->emplace_back(it->key().ToString(), it->value().ToString());
+    }
+    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
   }
-  ASSERT_TRUE((*bulk)->BulkLoadSequences(sequences).ok());
+  image.max_depth = (*file)->WorkingSlot(3);
+  image.underflow_runs = (*file)->WorkingSlot(4);
+  return image;
+}
 
-  auto dyn_stats = (*dynamic)->Stats();
-  auto bulk_stats = (*bulk)->Stats();
-  ASSERT_TRUE(dyn_stats.ok() && bulk_stats.ok());
-  EXPECT_EQ(bulk_stats->num_documents, dyn_stats->num_documents);
-  EXPECT_EQ(bulk_stats->num_entries, dyn_stats->num_entries);
-  EXPECT_EQ(bulk_stats->max_depth, dyn_stats->max_depth);
-  // Sorted writes pack pages at least as densely as random inserts.
-  EXPECT_LE(bulk_stats->size_bytes, dyn_stats->size_bytes);
+// Bulk loading and inserting one at a time run the same labeling walk, so
+// both must give the same labels, record for record — also when scopes
+// underflow (a small lambda, or a large one with deep documents), and when
+// later documents pass through nodes whose reserve earlier runs borrowed
+// from (a distinct value under a shared root, as DBLP's keys are).
+TEST_F(BulkLoadTest, MatchesDynamicInsertionExactly) {
+  struct Corpus {
+    const char* name;
+    uint64_t lambda;
+    int max_depth;
+    bool distinct_values;
+    bool forces_underflow;
+  };
+  for (const Corpus& corpus :
+       {Corpus{"lambda16", 16, 4, false, false},
+        Corpus{"lambda2", 2, 6, false, true},
+        Corpus{"lambda256", 256, 8, false, true},
+        Corpus{"lambda2_distinct_values", 2, 3, true, true}}) {
+    SCOPED_TRACE(corpus.name);
+    Random rng(321);
+    std::vector<std::string> docs;
+    for (int i = 0; i < 120; ++i) {
+      std::string doc = RandomXml(&rng, corpus.max_depth);
+      if (corpus.distinct_values) {
+        doc = "<r>" + std::to_string(i) + doc + "</r>";
+      }
+      docs.push_back(std::move(doc));
+    }
+    VistOptions options;
+    options.lambda = corpus.lambda;
+    const std::string dyn_dir = (dir_ / corpus.name / "dyn").string();
+    const std::string bulk_dir = (dir_ / corpus.name / "bulk").string();
+    auto dynamic = VistIndex::Create(dyn_dir, options);
+    ASSERT_TRUE(dynamic.ok());
+    auto bulk = VistIndex::Create(bulk_dir, options);
+    ASSERT_TRUE(bulk.ok());
+    std::vector<std::pair<uint64_t, Sequence>> sequences;
+    for (size_t i = 0; i < docs.size(); ++i) {
+      auto doc = xml::Parse(docs[i]);
+      ASSERT_TRUE(doc.ok());
+      ASSERT_TRUE((*dynamic)->InsertDocument(*doc->root(), i + 1).ok());
+      sequences.emplace_back(
+          i + 1, BuildSequence(*doc->root(), (*bulk)->symbols()));
+    }
+    ASSERT_TRUE((*bulk)->BulkLoadSequences(sequences).ok());
 
-  for (const char* q :
-       {"/a", "/a/b", "/a[b][c]", "//b[at='y']", "/a//c", "/a/*[at='z']",
-        "//c[text()='x']", "/a[b/c]/b", "/c[.//d='y']"}) {
-    auto d = (*dynamic)->Query(q);
-    auto b = (*bulk)->Query(q);
-    ASSERT_TRUE(d.ok() && b.ok()) << q;
-    EXPECT_EQ(*b, *d) << q;
+    auto dyn_stats = (*dynamic)->Stats();
+    auto bulk_stats = (*bulk)->Stats();
+    ASSERT_TRUE(dyn_stats.ok() && bulk_stats.ok());
+    EXPECT_EQ(bulk_stats->num_documents, dyn_stats->num_documents);
+    EXPECT_EQ(bulk_stats->num_entries, dyn_stats->num_entries);
+    EXPECT_EQ(bulk_stats->max_depth, dyn_stats->max_depth);
+    // Sorted writes pack pages at least as densely as random inserts.
+    EXPECT_LE(bulk_stats->size_bytes, dyn_stats->size_bytes);
+    if (corpus.forces_underflow) {
+      EXPECT_GT(dyn_stats->underflow_runs, 0u);
+    }
+
+    for (const char* q :
+         {"/a", "/a/b", "/a[b][c]", "//b[at='y']", "/a//c", "/a/*[at='z']",
+          "//c[text()='x']", "/a[b/c]/b", "/c[.//d='y']"}) {
+      auto d = (*dynamic)->Query(q);
+      auto b = (*bulk)->Query(q);
+      ASSERT_TRUE(d.ok() && b.ok()) << q;
+      EXPECT_EQ(*b, *d) << q;
+    }
+
+    dynamic->reset();
+    bulk->reset();
+    const IndexImage dyn_image = ReadIndexImage(dyn_dir);
+    const IndexImage bulk_image = ReadIndexImage(bulk_dir);
+    EXPECT_FALSE(dyn_image.entries.empty());
+    EXPECT_EQ(bulk_image.entries.size(), dyn_image.entries.size());
+    EXPECT_TRUE(bulk_image.entries == dyn_image.entries);
+    EXPECT_EQ(bulk_image.doc_ids.size(), dyn_image.doc_ids.size());
+    EXPECT_TRUE(bulk_image.doc_ids == dyn_image.doc_ids);
+    EXPECT_EQ(bulk_image.max_depth, dyn_image.max_depth);
+    EXPECT_EQ(bulk_image.underflow_runs, dyn_image.underflow_runs);
   }
 }
 
